@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Estimator, check_fit_inputs, derive_seed, resolve_seed, rng_from
-from .tree import grow_tree
+from .tree import TreeModel, grow_tree, tree_params
 
 
 def plurality_vote(votes: np.ndarray) -> np.ndarray:
@@ -18,6 +18,23 @@ def plurality_vote(votes: np.ndarray) -> np.ndarray:
     for i, row in enumerate(votes):
         out[i] = np.argmax(np.bincount(row))
     return out
+
+
+def grow_forest(est, X: np.ndarray, y_idx: np.ndarray, n_classes: int,
+                sample) -> list:
+    """Grow ``est.n_estimators`` trees with ``est``'s tree hyperparameters.
+
+    ``sample(i)`` returns tree i's ``(rows, feature_seed)``: the row index
+    (or slice) the tree trains on, and the seed of its per-node
+    feature-sampling stream.
+    """
+    params = tree_params(est)
+    trees = []
+    for i in range(est.n_estimators):
+        rows, feature_seed = sample(i)
+        trees.append(grow_tree(X[rows], y_idx[rows], n_classes,
+                               feature_rng=rng_from(feature_seed), **params))
+    return trees
 
 
 class RandomForest(Estimator):
@@ -41,41 +58,21 @@ class RandomForest(Estimator):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
-        self.classes_ = None
-
-    def fresh_clone(self, seed: int | None = None) -> "RandomForest":
-        return RandomForest(
-            n_estimators=self.n_estimators,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            bootstrap=self.bootstrap,
-            seed=self.seed if seed is None else seed,
-        )
 
     def fit(self, X, y) -> "RandomForest":
         A, y_idx, classes = check_fit_inputs(X, y)
         base = resolve_seed(self.seed)
         n = A.shape[0]
-        self.trees_ = []
-        for i in range(self.n_estimators):
+
+        def sample(i):
             tree_seed = derive_seed(base, i)
             if self.bootstrap:
                 rows = rng_from(tree_seed).integers(0, n, size=n)
             else:
-                rows = np.arange(n)
-            feature_rng = rng_from(derive_seed(tree_seed, 1))
-            self.trees_.append(
-                grow_tree(
-                    A[rows], y_idx[rows], classes.size,
-                    max_depth=self.max_depth,
-                    min_samples_split=self.min_samples_split,
-                    min_samples_leaf=self.min_samples_leaf,
-                    max_features=self.max_features,
-                    feature_rng=feature_rng,
-                )
-            )
+                rows = slice(None)
+            return rows, derive_seed(tree_seed, 1)
+
+        self.trees_ = grow_forest(self, A, y_idx, classes.size, sample)
         self.n_features_ = A.shape[1]
         self.classes_ = classes
         return self
@@ -92,28 +89,11 @@ class RandomForest(Estimator):
         return self.classes_.decode(np.argmax(proba, axis=1).astype(np.int64))
 
     def get_state(self) -> dict:
-        self._require_fitted()
-        return {
-            "hyperparams": {
-                "n_estimators": self.n_estimators,
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features,
-                "bootstrap": self.bootstrap,
-                "seed": self.seed,
-            },
-            "classes": list(self.classes_.labels),
-            "trees": [t.to_dict() for t in self.trees_],
-        }
+        return {**super().get_state(), "trees": [t.to_dict() for t in self.trees_]}
 
     @classmethod
     def from_state(cls, state: dict) -> "RandomForest":
-        from ..core import ClassSet
-        from .tree import TreeModel
-
-        est = cls(**state["hyperparams"])
+        est = super().from_state(state)
         est.trees_ = [TreeModel.from_dict(d) for d in state["trees"]]
-        est.classes_ = ClassSet(tuple(state["classes"]))
         est.n_features_ = est.trees_[0].n_features
         return est

@@ -52,14 +52,6 @@ class LogisticRegression(Estimator):
         self.l2 = l2
         self.max_iter = max_iter
         self.tol = tol
-        self.classes_ = None
-
-    def fresh_clone(self, seed: int | None = None) -> "LogisticRegression":
-        # Training is deterministic; the seed argument is accepted for
-        # interface uniformity and ignored.
-        return LogisticRegression(
-            lr=self.lr, l2=self.l2, max_iter=self.max_iter, tol=self.tol
-        )
 
     def fit(self, X, y) -> "LogisticRegression":
         A, y_idx, classes = check_fit_inputs(X, y)
@@ -101,13 +93,8 @@ class LogisticRegression(Estimator):
         return self.classes_.decode(np.argmax(scores, axis=1).astype(np.int64))
 
     def get_state(self) -> dict:
-        self._require_fitted()
         return {
-            "hyperparams": {
-                "lr": self.lr, "l2": self.l2,
-                "max_iter": self.max_iter, "tol": self.tol,
-            },
-            "classes": list(self.classes_.labels),
+            **super().get_state(),
             "mean": self.mean_.tolist(),
             "scale": self.scale_.tolist(),
             "coef": self.coef_.tolist(),
@@ -117,10 +104,7 @@ class LogisticRegression(Estimator):
 
     @classmethod
     def from_state(cls, state: dict) -> "LogisticRegression":
-        from ..core import ClassSet
-
-        est = cls(**state["hyperparams"])
-        est.classes_ = ClassSet(tuple(state["classes"]))
+        est = super().from_state(state)
         est.mean_ = np.asarray(state["mean"], dtype=np.float64)
         est.scale_ = np.asarray(state["scale"], dtype=np.float64)
         est.coef_ = np.asarray(state["coef"], dtype=np.float64)

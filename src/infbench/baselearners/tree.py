@@ -189,15 +189,6 @@ class TreeModel:
         # wins, i.e. ties go to the lowest class index
         return np.argmax(self.counts_matrix(X), axis=1).astype(np.int64)
 
-    def node_count(self) -> int:
-        stack, total = [self.root], 0
-        while stack:
-            node = stack.pop()
-            total += 1
-            if isinstance(node, Split):
-                stack.extend((node.left, node.right))
-        return total
-
     def to_dict(self) -> dict:
         def conv(node):
             if isinstance(node, Leaf):
@@ -226,6 +217,12 @@ class TreeModel:
             )
 
         return cls(conv(d["root"]), int(d["n_classes"]), int(d["n_features"]))
+
+
+def tree_params(est) -> dict:
+    """The tree-shape hyperparameters of ``est``, as ``grow_tree`` keywords."""
+    names = ("max_depth", "min_samples_split", "min_samples_leaf", "max_features")
+    return {name: getattr(est, name) for name in names}
 
 
 def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
@@ -287,28 +284,12 @@ class DecisionTree(Estimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.classes_ = None
-
-    def fresh_clone(self, seed: int | None = None) -> "DecisionTree":
-        return DecisionTree(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            seed=self.seed if seed is None else seed,
-        )
 
     def fit(self, X, y) -> "DecisionTree":
         A, y_idx, classes = check_fit_inputs(X, y)
         rng = rng_from(resolve_seed(self.seed))
-        self.tree_ = grow_tree(
-            A, y_idx, classes.size,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            feature_rng=rng,
-        )
+        self.tree_ = grow_tree(A, y_idx, classes.size, feature_rng=rng,
+                               **tree_params(self))
         self.n_features_ = A.shape[1]
         self.classes_ = classes
         return self
@@ -322,25 +303,11 @@ class DecisionTree(Estimator):
         return self.tree_.distribution(A)
 
     def get_state(self) -> dict:
-        self._require_fitted()
-        return {
-            "hyperparams": {
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features,
-                "seed": self.seed,
-            },
-            "classes": list(self.classes_.labels),
-            "tree": self.tree_.to_dict(),
-        }
+        return {**super().get_state(), "tree": self.tree_.to_dict()}
 
     @classmethod
     def from_state(cls, state: dict) -> "DecisionTree":
-        from ..core import ClassSet
-
-        est = cls(**state["hyperparams"])
+        est = super().from_state(state)
         est.tree_ = TreeModel.from_dict(state["tree"])
-        est.classes_ = ClassSet(tuple(state["classes"]))
         est.n_features_ = est.tree_.n_features
         return est

@@ -9,6 +9,7 @@ prediction-time inputs go through the exact training transformation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
@@ -60,6 +61,17 @@ def _is_blank(cell: str) -> bool:
     return cell.strip() == ""
 
 
+def _parse_real(column: str, row: int, cell: str) -> float:
+    """A numeric cell as a finite float; ``row`` is the 1-based data row."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UnparseableCell(column, row, cell)
+    return value
+
+
 def infer_kinds(header, rows, target_column: str) -> dict:
     """Column kind per feature column: numeric iff every non-blank cell parses."""
     kinds = {}
@@ -102,14 +114,8 @@ class TableEncoder:
             j = header.index(col)
             cells = [row[j] for row in rows]
             if self.kinds[col] == "numeric":
-                values = []
-                for i, cell in enumerate(cells):
-                    if _is_blank(cell):
-                        continue
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        raise UnparseableCell(col, i + 1, cell) from None
+                values = [_parse_real(col, i + 1, cell)
+                          for i, cell in enumerate(cells) if not _is_blank(cell)]
                 n_blank = len(cells) - len(values)
                 med = median(values) if values else 0.0
                 self.medians[col] = float(med)
@@ -158,13 +164,8 @@ class TableEncoder:
             if self.kinds[col] == "numeric":
                 vals = np.empty(len(cells), dtype=np.float64)
                 for i, cell in enumerate(cells):
-                    if _is_blank(cell):
-                        vals[i] = self.medians[col]
-                    else:
-                        try:
-                            vals[i] = float(cell)
-                        except ValueError:
-                            raise UnparseableCell(col, i + 1, cell) from None
+                    vals[i] = (self.medians[col] if _is_blank(cell)
+                               else _parse_real(col, i + 1, cell))
                 blocks.append(vals.reshape(-1, 1))
             else:
                 cats = self.categories[col]

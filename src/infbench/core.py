@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import inspect
 import logging
 import secrets
 from dataclasses import dataclass, field
@@ -183,13 +184,16 @@ class Estimator:
     ``fit(X, y)`` takes a feature matrix and raw labels and returns self;
     ``predict(X)`` returns original labels; probabilistic models additionally
     expose ``predict_proba(X)`` with columns aligned to ``classes_.labels``.
-    ``fresh_clone()`` returns an unfitted copy with identical hyperparameters
-    (optionally reseeded).  Fitted state lives in trailing-underscore
+    The ``__init__`` signature is the one declaration of a model's
+    hyperparameters: each argument is stored under its own name, and
+    ``hyperparams()``, ``fresh_clone()`` and the artifact's ``hyperparams``
+    are derived from it.  Fitted state lives in trailing-underscore
     attributes; refitting with the same data and seed reproduces predictions
     exactly.
     """
 
     kind: str = "abstract"
+    classes_: ClassSet | None = None
 
     def fit(self, X, y) -> "Estimator":
         raise NotImplementedError
@@ -197,13 +201,39 @@ class Estimator:
     def predict(self, X) -> np.ndarray:
         raise NotImplementedError
 
+    def hyperparams(self) -> dict:
+        """The ``__init__`` arguments, read back from same-named attributes."""
+        names = list(inspect.signature(type(self).__init__).parameters)[1:]
+        return {name: getattr(self, name) for name in names}
+
     def fresh_clone(self, seed: int | None = None) -> "Estimator":
-        raise NotImplementedError
+        """Unfitted copy with the same hyperparameters.
+
+        ``seed`` replaces the copy's seed; a model without a seed argument
+        trains deterministically and ignores it.
+        """
+        params = self.hyperparams()
+        if seed is not None and "seed" in params:
+            params["seed"] = seed
+        return type(self)(**params)
+
+    def get_state(self) -> dict:
+        """JSON-ready fitted state; each model adds its learned parameters."""
+        self._require_fitted()
+        return {"hyperparams": self.hyperparams(),
+                "classes": list(self.classes_.labels)}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "Estimator":
+        """Inverse of ``get_state``; each model restores its learned parameters."""
+        est = cls(**state["hyperparams"])
+        est.classes_ = ClassSet(tuple(state["classes"]))
+        return est
 
     # -- shared plumbing -------------------------------------------------
 
     def _require_fitted(self):
-        if getattr(self, "classes_", None) is None:
+        if self.classes_ is None:
             raise NotFitted(f"{type(self).__name__} used before fit")
 
     def _check_predict_input(self, X) -> np.ndarray:

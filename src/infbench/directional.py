@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Estimator, check_fit_inputs, derive_seed, resolve_seed, rng_from
+from .core import Estimator, check_fit_inputs, derive_seed, resolve_seed
 from .errors import MissingClass
-from .baselearners.forest import plurality_vote
-from .baselearners.tree import grow_tree
+from .baselearners.forest import grow_forest, plurality_vote
+from .baselearners.tree import TreeModel
 
 
 def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
@@ -61,34 +61,15 @@ class DirectionalForest(Estimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.classes_ = None
-
-    def fresh_clone(self, seed: int | None = None) -> "DirectionalForest":
-        return DirectionalForest(
-            n_estimators=self.n_estimators,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            seed=self.seed if seed is None else seed,
-        )
 
     def fit(self, X, y) -> "DirectionalForest":
         A, y_idx, classes = check_fit_inputs(X, y)
         self.directions_ = feature_directions(A, y_idx, classes.size)
-        Xd = A * self.directions_
         base = resolve_seed(self.seed)
-        self.trees_ = [
-            grow_tree(
-                Xd, y_idx, classes.size,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                feature_rng=rng_from(derive_seed(base, i)),
-            )
-            for i in range(self.n_estimators)
-        ]
+        self.trees_ = grow_forest(
+            self, A * self.directions_, y_idx, classes.size,
+            lambda i: (slice(None), derive_seed(base, i)),
+        )
         self.n_features_ = A.shape[1]
         self.classes_ = classes
         return self
@@ -100,28 +81,15 @@ class DirectionalForest(Estimator):
         return self.classes_.decode(plurality_vote(votes))
 
     def get_state(self) -> dict:
-        self._require_fitted()
         return {
-            "hyperparams": {
-                "n_estimators": self.n_estimators,
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features,
-                "seed": self.seed,
-            },
-            "classes": list(self.classes_.labels),
+            **super().get_state(),
             "directions": self.directions_.tolist(),
             "trees": [t.to_dict() for t in self.trees_],
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "DirectionalForest":
-        from .core import ClassSet
-        from .baselearners.tree import TreeModel
-
-        est = cls(**state["hyperparams"])
-        est.classes_ = ClassSet(tuple(state["classes"]))
+        est = super().from_state(state)
         est.directions_ = np.asarray(state["directions"], dtype=np.float64)
         est.trees_ = [TreeModel.from_dict(d) for d in state["trees"]]
         est.n_features_ = est.directions_.shape[0]

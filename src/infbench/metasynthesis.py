@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ClassSet,
     Estimator,
     check_fit_inputs,
     derive_seed,
@@ -111,21 +112,25 @@ class MetaSynthesisClassifier(Estimator):
             use_original_features=use_original_features,
             seed=seed,
         )
-        self.classes_ = None
 
     @property
     def seed(self):
         return self.config.seed
 
+    def hyperparams(self) -> dict:
+        """The scalar settings; the stacked estimators are models of their own."""
+        names = ("cv", "use_probas", "use_original_features", "seed")
+        return {name: getattr(self.config, name) for name in names}
+
     def fresh_clone(self, seed: int | None = None) -> "MetaSynthesisClassifier":
         cfg = self.config
+        params = self.hyperparams()
+        if seed is not None:
+            params["seed"] = seed
         return MetaSynthesisClassifier(
             base_estimators=[b.fresh_clone() for b in cfg.base_estimators],
             meta_estimator=cfg.meta_estimator.fresh_clone(),
-            cv=cfg.cv,
-            use_probas=cfg.use_probas,
-            use_original_features=cfg.use_original_features,
-            seed=cfg.seed if seed is None else seed,
+            **params,
         )
 
     def oof_meta_features(self, X, y):
@@ -203,16 +208,8 @@ class MetaSynthesisClassifier(Estimator):
     def get_state(self) -> dict:
         from .serialize import estimator_state
 
-        self._require_fitted()
-        cfg = self.config
         return {
-            "hyperparams": {
-                "cv": cfg.cv,
-                "use_probas": cfg.use_probas,
-                "use_original_features": cfg.use_original_features,
-                "seed": cfg.seed,
-            },
-            "classes": list(self.classes_.labels),
+            **super().get_state(),
             "meta_width": self.meta_width_,
             "n_features": self.n_features_,
             "base_models": [estimator_state(b) for b in self.base_models_],
@@ -221,7 +218,6 @@ class MetaSynthesisClassifier(Estimator):
 
     @classmethod
     def from_state(cls, state: dict) -> "MetaSynthesisClassifier":
-        from .core import ClassSet
         from .serialize import estimator_from_state
 
         bases = [estimator_from_state(s) for s in state["base_models"]]

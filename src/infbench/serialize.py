@@ -8,6 +8,7 @@ round-trips float64 exactly, so a loaded model predicts bit-identically.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .baselearners import DecisionTree, LogisticRegression, RandomForest
@@ -29,6 +30,17 @@ ESTIMATOR_KINDS = {
 }
 
 
+@contextmanager
+def _malformed(what: str):
+    """Re-raise a lookup or construction failure on artifact data as IngestError."""
+    try:
+        yield
+    except KeyError as e:
+        raise IngestError(f"{what} is missing key {e.args[0]!r}") from e
+    except (TypeError, ValueError, IndexError) as e:
+        raise IngestError(f"{what} is malformed: {e}") from e
+
+
 def estimator_state(est) -> dict:
     return {"kind": est.kind, "state": est.get_state()}
 
@@ -38,7 +50,8 @@ def estimator_from_state(d: dict):
     cls = ESTIMATOR_KINDS.get(kind)
     if cls is None:
         raise IngestError(f"unknown estimator kind {kind!r} in artifact")
-    return cls.from_state(d["state"])
+    with _malformed(f"{kind} state"):
+        return cls.from_state(d["state"])
 
 
 def save_model_artifact(path, model_id: str, est, encoder) -> Path:
@@ -75,6 +88,7 @@ def load_model_artifact(path):
         )
     if doc.get("kind") != "model_artifact":
         raise IngestError(f"{path} is not a model artifact")
-    est = estimator_from_state(doc["estimator"])
-    encoder = TableEncoder.from_dict(doc["encoding"])
-    return doc["model_id"], est, encoder
+    with _malformed(f"artifact {path}"):
+        est = estimator_from_state(doc["estimator"])
+        encoder = TableEncoder.from_dict(doc["encoding"])
+        return doc["model_id"], est, encoder

@@ -105,12 +105,13 @@ def test_blank_at_transform_without_missing_column_is_zero():
 
 def test_unparseable_cell_reports_position():
     header = ["v", "label"]
-    rows = [["1", "x"], ["abc", "y"]]
-    with pytest.raises(UnparseableCell) as err:
-        encode_table("t", header, rows, "label", {"v": "numeric"})
-    assert err.value.column == "v"
-    assert err.value.row == 2
-    assert err.value.value == "abc"
+    for cell in ("abc", "nan", "inf", "-Infinity", "NaN"):
+        rows = [["1", "x"], [cell, "y"]]
+        with pytest.raises(UnparseableCell) as err:
+            encode_table("t", header, rows, "label", {"v": "numeric"})
+        assert err.value.column == "v"
+        assert err.value.row == 2
+        assert err.value.value == cell
 
 
 def test_degenerate_target_rejected():

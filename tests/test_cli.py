@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infbench
 from infbench.cli import main
 from infbench.models import MODELS
 
@@ -58,6 +63,19 @@ def test_list_models_machine(capsys):
     for e in doc:
         assert e["generator"] in ("user", "system", "baseline")
         assert "defaults" in e and "description" in e
+
+
+def test_module_entry_point_runs():
+    src = str(Path(infbench.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "infbench.cli", "list-models"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    for model_id in MODELS:
+        assert model_id in proc.stdout
 
 
 def test_unknown_flag_exits_1():
@@ -236,3 +254,52 @@ def test_predict_rejects_future_format_version(registry, tmp_path):
         "--data", str(tmp_path / "a.csv"),
     ])
     assert code == 1
+
+
+def _state(doc):
+    return doc["estimator"]["state"]
+
+
+MALFORMED_ARTIFACTS = [
+    pytest.param("decision_tree", lambda d: _state(d).pop("hyperparams"),
+                 "hyperparams", id="hyperparams"),
+    pytest.param("decision_tree", lambda d: _state(d).pop("classes"),
+                 "classes", id="classes"),
+    pytest.param("decision_tree", lambda d: _state(d).pop("tree"),
+                 "tree", id="tree"),
+    pytest.param("random_forest", lambda d: _state(d).pop("trees"),
+                 "trees", id="trees"),
+    pytest.param("decision_tree", lambda d: _state(d)["tree"].pop("root"),
+                 "root", id="root"),
+    pytest.param("random_forest", lambda d: _state(d).update(trees=[]),
+                 "malformed", id="empty_trees"),
+    pytest.param("decision_tree",
+                 lambda d: _state(d)["hyperparams"].update(bogus=1),
+                 "bogus", id="unknown_hyperparam"),
+    pytest.param("decision_tree", lambda d: d.pop("encoding"),
+                 "encoding", id="encoding"),
+]
+
+
+@pytest.mark.parametrize("model_id, mutate, key", MALFORMED_ARTIFACTS)
+def test_predict_malformed_artifact_exits_1(registry, tmp_path, capsys,
+                                            model_id, mutate, key):
+    model_path = tmp_path / "model.json"
+    main([
+        "train", "--model", model_id, "--data", str(tmp_path / "a.csv"),
+        "--target", "label", "--out", str(model_path), "--seed", "5",
+    ])
+    doc = json.loads(model_path.read_text())
+    mutate(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([
+        "predict", "--model-file", str(model_path),
+        "--data", str(tmp_path / "a.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert key in err[0]
+    if key != "encoding":
+        assert model_id in err[0]

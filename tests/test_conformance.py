@@ -121,5 +121,18 @@ def test_serialized_state_round_trips(proto, data):
         assert np.array_equal(clone.predict_proba(X), est.predict_proba(X))
 
 
+@pytest.mark.parametrize("proto", PROTOTYPES)
+def test_hyperparams_declared_once(proto, data):
+    X, y = data
+    est = proto()
+    params = est.hyperparams()
+    assert type(est)(**params).hyperparams() == params
+    clone = est.fresh_clone(seed=11)
+    expected = dict(params, seed=11) if "seed" in params else params
+    assert clone.hyperparams() == expected
+    est.fit(X, y)
+    assert est.get_state()["hyperparams"] == params
+
+
 def test_directional_has_no_probability_surface():
     assert not supports_proba(DirectionalForest())

@@ -5,19 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Estimator, check_fit_inputs, derive_seed, resolve_seed, rng_from
-from .tree import TreeModel, grow_tree, tree_params
+from .tree import TreeModel, TreeStack, descend_blocks, grow_tree, tree_params
 
 
 def plurality_vote(votes: np.ndarray) -> np.ndarray:
     """Most frequent class index per row of an (n, T) vote matrix.
 
-    Ties go to the lowest class index.
+    Ties go to the lowest class index.  One ``bincount`` tallies every row:
+    row i's votes are offset by ``i * C`` so that the rows' tallies do not mix.
     """
     votes = np.asarray(votes, dtype=np.int64)
-    out = np.empty(votes.shape[0], dtype=np.int64)
-    for i, row in enumerate(votes):
-        out[i] = np.argmax(np.bincount(row))
-    return out
+    n = votes.shape[0]
+    C = int(votes.max(initial=0)) + 1
+    offset = (votes + C * np.arange(n)[:, None]).ravel()
+    tally = np.bincount(offset, minlength=n * C).reshape(n, C)
+    return np.argmax(tally, axis=1)
 
 
 def grow_forest(est, X: np.ndarray, y_idx: np.ndarray, n_classes: int,
@@ -73,15 +75,18 @@ class RandomForest(Estimator):
             return rows, derive_seed(tree_seed, 1)
 
         self.trees_ = grow_forest(self, A, y_idx, classes.size, sample)
+        self.stack_ = TreeStack(self.trees_)
         self.n_features_ = A.shape[1]
         self.classes_ = classes
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         A = self._check_predict_input(X)
-        total = np.zeros((A.shape[0], self.classes_.size), dtype=np.float64)
-        for tree in self.trees_:
-            total += tree.distribution(A)
+        total = np.empty((A.shape[0], self.classes_.size))
+        for rows, leaves in descend_blocks(self.stack_, A):
+            # A running sum over the tree axis adds the leaf distributions in
+            # tree order, so the mean is the same float sum tree by tree.
+            total[rows] = np.cumsum(self.stack_.distribution[leaves], axis=0)[-1]
         return total / len(self.trees_)
 
     def predict(self, X) -> np.ndarray:
@@ -95,5 +100,6 @@ class RandomForest(Estimator):
     def from_state(cls, state: dict) -> "RandomForest":
         est = super().from_state(state)
         est.trees_ = [TreeModel.from_dict(d) for d in state["trees"]]
+        est.stack_ = TreeStack(est.trees_)
         est.n_features_ = est.trees_[0].n_features
         return est

@@ -18,23 +18,6 @@ from ..core import Estimator, check_fit_inputs, resolve_seed, rng_from
 from ..errors import InfbenchError
 
 
-class Leaf:
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: np.ndarray):
-        self.counts = counts  # (C,) int64 class counts of the training rows
-
-
-class Split:
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature: int, threshold: float, left, right):
-        self.feature = feature
-        self.threshold = threshold  # route left iff x[feature] <= threshold
-        self.left = left
-        self.right = right
-
-
 def gini_impurity(class_counts) -> float:
     """Gini impurity 1 - sum(p_c^2) of a count vector."""
     counts = np.asarray(class_counts, dtype=np.float64)
@@ -154,31 +137,71 @@ def best_split(X, y, candidate_features, *, n_classes: int | None = None,
     return int(feats[j]), threshold, gini_impurity(counts) - weighted
 
 
-class TreeModel:
-    """Fitted tree: a root node plus the class/feature geometry it was grown on."""
+def descend(nodes, X: np.ndarray) -> np.ndarray:
+    """Leaf reached by every row of X in every tree of ``nodes``, shape (trees, n).
 
-    def __init__(self, root, n_classes: int, n_features: int):
-        self.root = root
+    ``nodes`` holds node arrays (``feature``, ``threshold``, ``left``,
+    ``right``), the index of each tree's root in ``roots``, and ``depth``, the
+    longest root-to-leaf path.  Each step moves every (tree, row) pair one
+    level down and costs a few numpy calls whatever the tree count.  A leaf
+    points to itself and a split to later nodes, so the descent ends after
+    ``depth`` steps, or as soon as a step moves no pair.
+    """
+    n, f = X.shape
+    flat = X.ravel()
+    row_base = np.arange(n) * f
+    node = np.repeat(nodes.roots[:, None], n, axis=1)
+    for _ in range(nodes.depth):
+        go_left = flat[row_base + nodes.feature[node]] <= nodes.threshold[node]
+        below = np.where(go_left, nodes.left[node], nodes.right[node])
+        if (below == node).all():
+            break
+        node = below
+    return node
+
+
+# (tree, row) pairs per block of ``descend_blocks``: its working arrays stay
+# within a few hundred kilobytes each, whatever the batch size.
+BLOCK_PAIRS = 1 << 15
+
+
+def descend_blocks(nodes, X: np.ndarray):
+    """Yield ``(rows, leaves)`` per block of X's rows, ``leaves`` as in ``descend``."""
+    step = max(1, BLOCK_PAIRS // len(nodes.roots))
+    for start in range(0, X.shape[0], step):
+        rows = slice(start, start + step)
+        yield rows, descend(nodes, X[rows])
+
+
+class TreeModel:
+    """Fitted tree as parallel node arrays in DFS preorder, root at index 0.
+
+    An internal node routes a row left iff ``x[feature] <= threshold``.  A
+    leaf has ``left == right ==`` its own index and holds the class counts of
+    its training rows in ``counts`` (internal nodes hold zeros there).
+    ``depth`` is the longest root-to-leaf path.
+    """
+
+    roots = np.zeros(1, dtype=np.int64)
+
+    def __init__(self, nodes: list, counts: list, depth: int, n_classes: int,
+                 n_features: int):
+        """``nodes`` holds each node's ``(feature, threshold, left, right)`` in
+        preorder; ``counts`` the nodes' class counts, concatenated in that order."""
+        n = len(nodes)
+        feature, threshold, left, right = zip(*nodes)
+        self.feature = np.fromiter(feature, np.int64, n)
+        self.threshold = np.fromiter(threshold, np.float64, n)
+        self.left = np.fromiter(left, np.int64, n)
+        self.right = np.fromiter(right, np.int64, n)
+        self.counts = np.fromiter(counts, np.int64, n * n_classes).reshape(n, n_classes)
+        self.depth = depth
         self.n_classes = n_classes
         self.n_features = n_features
 
     def counts_matrix(self, X: np.ndarray) -> np.ndarray:
         """Leaf class counts for each row, shape (n, C)."""
-        out = np.empty((X.shape[0], self.n_classes), dtype=np.int64)
-        idx = np.arange(X.shape[0])
-        stack = [(self.root, idx)]
-        while stack:
-            node, rows = stack.pop()
-            if isinstance(node, Leaf):
-                out[rows] = node.counts
-                continue
-            mask = X[rows, node.feature] <= node.threshold
-            left_rows, right_rows = rows[mask], rows[~mask]
-            if left_rows.size:
-                stack.append((node.left, left_rows))
-            if right_rows.size:
-                stack.append((node.right, right_rows))
-        return out
+        return self.counts[descend(self, X)[0]]
 
     def distribution(self, X: np.ndarray) -> np.ndarray:
         counts = self.counts_matrix(X).astype(np.float64)
@@ -190,33 +213,84 @@ class TreeModel:
         return np.argmax(self.counts_matrix(X), axis=1).astype(np.int64)
 
     def to_dict(self) -> dict:
-        def conv(node):
-            if isinstance(node, Leaf):
-                return {"counts": [int(c) for c in node.counts]}
-            return {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": conv(node.left),
-                "right": conv(node.right),
-            }
-
+        """Nested ``{feature, threshold, left, right}`` / ``{counts}`` form."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right, counts = self.left.tolist(), self.right.tolist(), self.counts.tolist()
+        # children follow their parent in preorder, so a reverse sweep meets
+        # both subtrees of a split before the split itself
+        node = [None] * len(left)
+        for i in reversed(range(len(left))):
+            if left[i] == i:
+                node[i] = {"counts": counts[i]}
+            else:
+                node[i] = {
+                    "feature": feature[i],
+                    "threshold": threshold[i],
+                    "left": node[left[i]],
+                    "right": node[right[i]],
+                }
         return {
             "n_classes": self.n_classes,
             "n_features": self.n_features,
-            "root": conv(self.root),
+            "root": node[0],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeModel":
-        def conv(node):
-            if "counts" in node:
-                return Leaf(np.asarray(node["counts"], dtype=np.int64))
-            return Split(
-                int(node["feature"]), float(node["threshold"]),
-                conv(node["left"]), conv(node["right"]),
-            )
+        """Inverse of ``to_dict``; raises ValueError on a malformed tree."""
+        n_classes, n_features = int(d["n_classes"]), int(d["n_features"])
+        nodes, counts = [], []
+        zeros = [0] * n_classes
 
-        return cls(conv(d["root"]), int(d["n_classes"]), int(d["n_features"]))
+        def conv(node, depth):
+            """Append the subtree in preorder; return its deepest leaf's depth."""
+            i = len(nodes)
+            if "counts" in node:
+                c = node["counts"]
+                if len(c) != n_classes:
+                    raise ValueError(f"leaf has {len(c)} counts, expected "
+                                     f"n_classes={n_classes}")
+                nodes.append((0, 0.0, i, i))
+                counts.extend(c)
+                return depth
+            feature = node["feature"]
+            if not 0 <= feature < n_features:
+                raise ValueError(f"split feature {feature} outside [0, {n_features})")
+            nodes.append(None)  # filled once the left subtree's size is known
+            counts.extend(zeros)
+            deepest = conv(node["left"], depth + 1)
+            nodes[i] = (feature, node["threshold"], i + 1, len(nodes))
+            return max(deepest, conv(node["right"], depth + 1))
+
+        depth = conv(d["root"], 0)
+        if min(counts) < 0:
+            raise ValueError("a leaf has negative class counts")
+        return cls(nodes, counts, depth, n_classes, n_features)
+
+
+class TreeStack:
+    """The node arrays of several trees laid end to end, descended together.
+
+    Built once per fitted or loaded forest.  Besides the arrays ``descend``
+    reads, it holds each node's class distribution and argmax vote, so a
+    forest turns leaf indices into outputs with one gather.
+    """
+
+    def __init__(self, trees: list):
+        sizes = [t.feature.size for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        shift = np.repeat(self.roots, sizes)  # each node's tree offset
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.left = np.concatenate([t.left for t in trees]) + shift
+        self.right = np.concatenate([t.right for t in trees]) + shift
+        self.depth = max(t.depth for t in trees)
+        counts = np.concatenate([t.counts for t in trees])
+        total = counts.sum(axis=1, keepdims=True)
+        # internal nodes hold zero counts; their 0/0 is never computed
+        self.distribution = np.divide(counts, total, where=total > 0,
+                                      out=np.zeros(counts.shape))
+        self.vote = np.argmax(counts, axis=1)
 
 
 def tree_params(est) -> dict:
@@ -229,25 +303,26 @@ def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
               max_depth: int | None = None, min_samples_split: int = 2,
               min_samples_leaf: int = 1, max_features=None,
               feature_rng: np.random.Generator | None = None) -> TreeModel:
-    """Grow a tree by recursive greedy splitting.
+    """Grow a tree by greedy splitting, depth first, left subtree first.
 
     At each node the candidate features are a uniform sample without
     replacement from the node's feature-sampling stream (all features when the
-    sample size equals the total).  Recursion stops at ``max_depth``, purity,
-    or when no admissible split reduces impurity.
+    sample size equals the total), drawn in that visiting order.  A node
+    becomes a leaf at ``max_depth``, when pure, or when no admissible split
+    reduces impurity.
     """
     n_features = X.shape[1]
     k = resolve_feature_count(max_features, n_features)
     all_feats = np.arange(n_features, dtype=np.int64)
 
-    def build(rows: np.ndarray, depth: int):
-        counts = np.bincount(y_idx[rows], minlength=n_classes)
+    def find_split(rows: np.ndarray, node_counts: np.ndarray, level: int):
+        """The node's ``(feature, threshold)``, or None to make it a leaf."""
         if (
-            (max_depth is not None and depth >= max_depth)
+            (max_depth is not None and level >= max_depth)
             or rows.size < min_samples_split
-            or int((counts > 0).sum()) <= 1
+            or int((node_counts > 0).sum()) <= 1
         ):
-            return Leaf(counts)
+            return None
         if k < n_features:
             feats = np.sort(feature_rng.choice(n_features, size=k, replace=False))
         else:
@@ -256,19 +331,36 @@ def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
             X[np.ix_(rows, feats)], y_idx[rows], n_classes, min_samples_leaf
         )
         if found is None:
-            return Leaf(counts)
+            return None
         j, b, sv = found
-        feature = int(feats[j])
-        threshold = _midpoint(float(sv[b]), float(sv[b + 1]))
-        mask = X[rows, feature] <= threshold
-        left = build(rows[mask], depth + 1)
-        right = build(rows[~mask], depth + 1)
-        return Split(feature, threshold, left, right)
+        return int(feats[j]), _midpoint(float(sv[b]), float(sv[b + 1]))
 
     if k < n_features and feature_rng is None:
         raise InfbenchError("feature subsampling requires a feature_rng")
-    root = build(np.arange(X.shape[0]), 0)
-    return TreeModel(root, n_classes, n_features)
+    nodes, counts = [], []  # preorder (feature, threshold, left, right); counts
+    zeros = [0] * n_classes
+    depth = 0
+    # (rows, node depth, index of the split whose right child it is, or None)
+    stack = [(np.arange(X.shape[0]), 0, None)]
+    while stack:
+        rows, level, parent = stack.pop()
+        i = len(nodes)
+        if parent is not None:
+            nodes[parent][3] = i
+        node_counts = np.bincount(y_idx[rows], minlength=n_classes)
+        split = find_split(rows, node_counts, level)
+        if split is None:
+            nodes.append((0, 0.0, i, i))
+            counts.extend(node_counts.tolist())
+            depth = max(depth, level)
+            continue
+        feature, threshold = split
+        mask = X[rows, feature] <= threshold
+        nodes.append([feature, threshold, i + 1, None])
+        counts.extend(zeros)
+        stack.append((rows[~mask], level + 1, i))
+        stack.append((rows[mask], level + 1, None))
+    return TreeModel(nodes, counts, depth, n_classes, n_features)
 
 
 class DecisionTree(Estimator):

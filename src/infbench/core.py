@@ -220,8 +220,10 @@ class Estimator:
     def get_state(self) -> dict:
         """JSON-ready fitted state; each model adds its learned parameters."""
         self._require_fitted()
-        return {"hyperparams": self.hyperparams(),
-                "classes": list(self.classes_.labels)}
+        # numpy scalar labels (e.g. np.int64) become their Python values
+        classes = [lab.item() if isinstance(lab, np.generic) else lab
+                   for lab in self.classes_.labels]
+        return {"hyperparams": self.hyperparams(), "classes": classes}
 
     @classmethod
     def from_state(cls, state: dict) -> "Estimator":

@@ -20,7 +20,7 @@ import numpy as np
 from .core import Estimator, check_fit_inputs, derive_seed, resolve_seed
 from .errors import MissingClass
 from .baselearners.forest import grow_forest, plurality_vote
-from .baselearners.tree import TreeModel
+from .baselearners.tree import TreeModel, TreeStack, descend_blocks
 
 
 def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
@@ -70,15 +70,17 @@ class DirectionalForest(Estimator):
             self, A * self.directions_, y_idx, classes.size,
             lambda i: (slice(None), derive_seed(base, i)),
         )
+        self.stack_ = TreeStack(self.trees_)
         self.n_features_ = A.shape[1]
         self.classes_ = classes
         return self
 
     def predict(self, X) -> np.ndarray:
         A = self._check_predict_input(X)
-        Xd = A * self.directions_
-        votes = np.stack([t.predict_idx(Xd) for t in self.trees_], axis=1)
-        return self.classes_.decode(plurality_vote(votes))
+        idx = np.empty(A.shape[0], dtype=np.int64)
+        for rows, leaves in descend_blocks(self.stack_, A * self.directions_):
+            idx[rows] = plurality_vote(self.stack_.vote[leaves].T)
+        return self.classes_.decode(idx)
 
     def get_state(self) -> dict:
         return {
@@ -92,5 +94,6 @@ class DirectionalForest(Estimator):
         est = super().from_state(state)
         est.directions_ = np.asarray(state["directions"], dtype=np.float64)
         est.trees_ = [TreeModel.from_dict(d) for d in state["trees"]]
+        est.stack_ = TreeStack(est.trees_)
         est.n_features_ = est.directions_.shape[0]
         return est

@@ -278,7 +278,26 @@ MALFORMED_ARTIFACTS = [
                  "bogus", id="unknown_hyperparam"),
     pytest.param("decision_tree", lambda d: d.pop("encoding"),
                  "encoding", id="encoding"),
+    pytest.param("decision_tree",
+                 lambda d: _first_leaf(_state(d)["tree"]).update(counts=[1, 2, 3, 4]),
+                 "counts", id="leaf_counts_width"),
+    pytest.param("random_forest",
+                 lambda d: _first_leaf(_state(d)["trees"][0]).update(counts=[3, -1]),
+                 "counts", id="negative_counts"),
+    pytest.param("decision_tree",
+                 lambda d: _state(d)["tree"]["root"].update(feature=2),
+                 "feature", id="feature_out_of_range"),
+    pytest.param("directional_forest",
+                 lambda d: _state(d)["trees"][1]["root"].update(feature=-1),
+                 "feature", id="negative_feature"),
 ]
+
+
+def _first_leaf(tree):
+    node = tree["root"]
+    while "counts" not in node:
+        node = node["left"]
+    return node
 
 
 @pytest.mark.parametrize("model_id, mutate, key", MALFORMED_ARTIFACTS)

@@ -8,7 +8,13 @@ from infbench.core import supports_proba
 from infbench.directional import DirectionalForest
 from infbench.errors import DimensionMismatch, NotFitted
 from infbench.metasynthesis import MetaSynthesisClassifier
-from infbench.serialize import estimator_from_state, estimator_state
+from infbench.bench import encode_table
+from infbench.serialize import (
+    estimator_from_state,
+    estimator_state,
+    load_model_artifact,
+    save_model_artifact,
+)
 
 from conftest import make_blobs
 
@@ -132,6 +138,21 @@ def test_hyperparams_declared_once(proto, data):
     assert clone.hyperparams() == expected
     est.fit(X, y)
     assert est.get_state()["hyperparams"] == params
+
+
+@pytest.mark.parametrize("proto", PROTOTYPES)
+def test_numpy_integer_labels_survive_an_artifact(proto, data, tmp_path):
+    X, y = data
+    y_int = np.unique(y, return_inverse=True)[1].astype(np.int64)
+    est = proto().fit(X, y_int)
+    header = ["f0", "f1", "label"]
+    rows = [[repr(float(a)), repr(float(b)), str(lab)] for (a, b), lab in zip(X, y_int)]
+    kinds = {"f0": "numeric", "f1": "numeric"}
+    encoder = encode_table("blobs", header, rows, "label", kinds).encoder
+    path = save_model_artifact(tmp_path / "model.json", "m", est, encoder)
+    _, loaded, _ = load_model_artifact(path)
+    assert loaded.predict(X).tolist() == est.predict(X).tolist()
+    assert set(loaded.predict(X).tolist()) <= {0, 1, 2}
 
 
 def test_directional_has_no_probability_surface():

@@ -1,8 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infbench.baselearners import DecisionTree, RandomForest, plurality_vote
+from infbench.baselearners import tree as tree_module
+from infbench.baselearners.tree import TreeModel
 from infbench.core import derive_seed
+from infbench.directional import DirectionalForest
 from infbench.errors import DimensionMismatch, NotFitted
 
 from conftest import make_blobs
@@ -109,3 +116,90 @@ def test_forest_state_roundtrip(blobs2):
     clone = RandomForest.from_state(forest.get_state())
     assert np.array_equal(clone.predict_proba(X), forest.predict_proba(X))
     assert clone.predict(X).tolist() == forest.predict(X).tolist()
+
+
+# -- stacked descent against the per-tree path --------------------------------
+
+@pytest.mark.parametrize("pairs", [1, 5, 24])
+def test_row_blocks_match_one_descent(blobs3, monkeypatch, pairs):
+    X, y = blobs3
+    rf = RandomForest(n_estimators=6, seed=2).fit(X, y)
+    df = DirectionalForest(n_estimators=6, seed=2).fit(X, y)
+    proba, labels = rf.predict_proba(X), df.predict(X)
+    monkeypatch.setattr(tree_module, "BLOCK_PAIRS", pairs)
+    assert rf.predict_proba(X).tobytes() == proba.tobytes()
+    assert df.predict(X).tolist() == labels.tolist()
+
+@st.composite
+def forest_data(draw):
+    """A small table with coarse feature values (many ties), every class
+    present, a forest seed, and forest settings."""
+    n = draw(st.integers(4, 40))
+    f = draw(st.integers(1, 4))
+    C = draw(st.integers(2, 3))
+    X = np.asarray(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=f, max_size=f),
+        min_size=n, max_size=n,
+    )), dtype=np.float64) / 2.0
+    y = np.asarray(draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)))
+    y[:C] = np.arange(C)
+    params = {
+        "n_estimators": draw(st.integers(1, 6)),
+        "max_depth": draw(st.sampled_from([None, 1, 3])),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    return X, np.array([f"k{c}" for c in y], dtype=object), params
+
+
+@given(forest_data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_proba_is_the_tree_order_sum(case):
+    X, y, params = case
+    forest = RandomForest(**params).fit(X, y)
+    probe = np.vstack([X, X + 0.25])
+    total = np.zeros((probe.shape[0], forest.classes_.size))
+    for tree in forest.trees_:
+        total += tree.distribution(probe)
+    expected = total / len(forest.trees_)
+    assert forest.predict_proba(probe).tobytes() == expected.tobytes()
+
+
+@given(forest_data())
+@settings(max_examples=40, deadline=None)
+def test_directional_labels_are_the_tree_plurality(case):
+    X, y, params = case
+    forest = DirectionalForest(**params).fit(X, y)
+    probe = np.vstack([X, X + 0.25])
+    votes = [t.predict_idx(probe * forest.directions_) for t in forest.trees_]
+    expected = []
+    for row in zip(*votes):
+        tally = Counter(int(v) for v in row)
+        top = max(tally.values())
+        expected.append(forest.classes_.labels[min(c for c in tally if tally[c] == top)])
+    assert forest.predict(probe).tolist() == expected
+
+
+@given(forest_data(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_rows_label_does_not_depend_on_its_batch(case, data):
+    X, y, params = case
+    for cls in (RandomForest, DirectionalForest):
+        forest = cls(**params).fit(X, y)
+        whole = forest.predict(X).tolist()
+        picked = data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=1,
+                                    max_size=X.shape[0]))
+        assert forest.predict(X[picked]).tolist() == [whole[i] for i in picked]
+        assert [forest.predict(X[i:i + 1])[0] for i in picked] == [whole[i] for i in picked]
+
+
+@given(forest_data())
+@settings(max_examples=30, deadline=None)
+def test_tree_dict_round_trip_keeps_every_node_array(case):
+    X, y, params = case
+    for tree in RandomForest(**params).fit(X, y).trees_:
+        back = TreeModel.from_dict(tree.to_dict())
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            a, b = getattr(tree, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (back.depth, back.n_classes, back.n_features) == (
+            tree.depth, tree.n_classes, tree.n_features)

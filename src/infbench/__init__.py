@@ -10,7 +10,7 @@ from .baselearners import DecisionTree, LogisticRegression, RandomForest
 from .core import ClassSet, Estimator, derive_seed, resolve_seed
 from .directional import DirectionalForest
 from .errors import InfbenchError
-from .metasynthesis import MetaSynthesisClassifier, StackingConfig, stratified_folds
+from .metasynthesis import MetaSynthesisClassifier, stratified_folds
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "LogisticRegression",
     "MetaSynthesisClassifier",
     "RandomForest",
-    "StackingConfig",
     "derive_seed",
     "resolve_seed",
     "stratified_folds",

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Estimator, check_fit_inputs, derive_seed, resolve_seed, rng_from
-from .tree import TreeModel, TreeStack, descend_blocks, grow_tree, tree_params
+from .tree import (TreeStack, descend_blocks, grow_tree, tree_params,
+                   trees_from_dicts, trees_to_dicts)
 
 
 def plurality_vote(votes: np.ndarray) -> np.ndarray:
@@ -94,12 +95,12 @@ class RandomForest(Estimator):
         return self.classes_.decode(np.argmax(proba, axis=1).astype(np.int64))
 
     def get_state(self) -> dict:
-        return {**super().get_state(), "trees": [t.to_dict() for t in self.trees_]}
+        return {**super().get_state(), "trees": trees_to_dicts(self, self.trees_)}
 
     @classmethod
     def from_state(cls, state: dict) -> "RandomForest":
         est = super().from_state(state)
-        est.trees_ = [TreeModel.from_dict(d) for d in state["trees"]]
+        est.trees_ = trees_from_dicts(state["trees"], est.classes_.size)
         est.stack_ = TreeStack(est.trees_)
         est.n_features_ = est.trees_[0].n_features
         return est

@@ -10,9 +10,12 @@ deterministic, no seed involved.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from ..core import Estimator, check_fit_inputs
+from ..errors import ConvergenceWarning
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -73,6 +76,10 @@ class LogisticRegression(Estimator):
                 break
             W -= self.lr * grad_W
             b -= self.lr * grad_b
+        else:
+            # one fixed message, so the default filter shows it once per process
+            warnings.warn("logistic regression stopped at max_iter before its "
+                          "gradient fell below tol", ConvergenceWarning)
         self.coef_ = W
         self.intercept_ = b
         self.n_iter_ = n_iter

@@ -173,6 +173,12 @@ def descend_blocks(nodes, X: np.ndarray):
         yield rows, descend(nodes, X[rows])
 
 
+# The deepest tree an artifact holds.  Its nested JSON form has one object
+# per level, and Python's json module recurses once per level to write or read
+# it, within the interpreter's default limit of 1000 frames.
+MAX_SAVED_DEPTH = 500
+
+
 class TreeModel:
     """Fitted tree as parallel node arrays in DFS preorder, root at index 0.
 
@@ -253,6 +259,8 @@ class TreeModel:
                 nodes.append((0, 0.0, i, i))
                 counts.extend(c)
                 return depth
+            if depth >= MAX_SAVED_DEPTH:
+                raise ValueError(f"tree is deeper than {MAX_SAVED_DEPTH} levels")
             feature = node["feature"]
             if not 0 <= feature < n_features:
                 raise ValueError(f"split feature {feature} outside [0, {n_features})")
@@ -263,9 +271,42 @@ class TreeModel:
             return max(deepest, conv(node["right"], depth + 1))
 
         depth = conv(d["root"], 0)
-        if min(counts) < 0:
-            raise ValueError("a leaf has negative class counts")
         return cls(nodes, counts, depth, n_classes, n_features)
+
+
+def trees_to_dicts(est, trees: list) -> list:
+    """``to_dict`` of each of ``est``'s trees, for its artifact state."""
+    deepest = max(t.depth for t in trees)
+    if deepest > MAX_SAVED_DEPTH:
+        raise InfbenchError(
+            f"cannot save {est.kind}: it has a tree of depth {deepest}, and an "
+            f"artifact holds trees of depth {MAX_SAVED_DEPTH} at most"
+        )
+    return [t.to_dict() for t in trees]
+
+
+def trees_from_dicts(dicts: list, n_classes: int, n_features: int | None = None) -> list:
+    """``TreeModel.from_dict`` of each of an artifact's tree dicts, checked together.
+
+    Raises ValueError unless there is a tree, every tree has ``n_classes``
+    classes and one shared feature count (``n_features`` when given), and
+    every leaf holds nonnegative class counts, not all zero.
+    """
+    trees = [TreeModel.from_dict(d) for d in dicts]
+    if not trees:
+        raise ValueError("the tree list is empty")
+    expected = (n_classes, trees[0].n_features if n_features is None else n_features)
+    shapes = {(t.n_classes, t.n_features) for t in trees}
+    if shapes != {expected}:
+        raise ValueError(f"trees have (n_classes, n_features) {sorted(shapes)}, "
+                         f"expected {expected}")
+    counts = np.concatenate([t.counts for t in trees])
+    # Internal nodes hold zero counts, and a tree of n nodes has (n + 1) // 2
+    # leaves, so every leaf holds some counts iff that many rows do.
+    leaves = sum((t.counts.shape[0] + 1) // 2 for t in trees)
+    if counts.min() < 0 or np.count_nonzero(counts.any(axis=1)) < leaves:
+        raise ValueError("a leaf has negative or all-zero class counts")
+    return trees
 
 
 class TreeStack:
@@ -395,11 +436,11 @@ class DecisionTree(Estimator):
         return self.tree_.distribution(A)
 
     def get_state(self) -> dict:
-        return {**super().get_state(), "tree": self.tree_.to_dict()}
+        return {**super().get_state(), "tree": trees_to_dicts(self, [self.tree_])[0]}
 
     @classmethod
     def from_state(cls, state: dict) -> "DecisionTree":
         est = super().from_state(state)
-        est.tree_ = TreeModel.from_dict(state["tree"])
+        est.tree_ = trees_from_dicts([state["tree"]], est.classes_.size)[0]
         est.n_features_ = est.tree_.n_features
         return est

@@ -44,13 +44,10 @@ TABLE_FILENAME = "leaderboard.txt"
 class EvalProtocol:
     folds: int = 5
     seed: int | None = None
-    metric: str = "accuracy"
 
     def __post_init__(self):
         if self.folds < 2:
             raise InfbenchError(f"folds must be >= 2, got {self.folds}")
-        if self.metric != "accuracy":
-            raise InfbenchError(f"unsupported metric {self.metric!r}")
 
 
 def cell_seed(base_seed: int, model_id: str, dataset_id: str) -> int:
@@ -217,7 +214,7 @@ def result_document(result: BenchResult) -> dict:
         "timestamp": _artifact_timestamp(),
         "protocol": {
             "folds": result.protocol.folds,
-            "metric": result.protocol.metric,
+            "metric": "accuracy",
             "seed": result.base_seed,
         },
         "datasets": [

@@ -20,7 +20,8 @@ import numpy as np
 from .core import Estimator, check_fit_inputs, derive_seed, resolve_seed
 from .errors import MissingClass
 from .baselearners.forest import grow_forest, plurality_vote
-from .baselearners.tree import TreeModel, TreeStack, descend_blocks
+from .baselearners.tree import (TreeStack, descend_blocks, trees_from_dicts,
+                                trees_to_dicts)
 
 
 def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
@@ -86,14 +87,15 @@ class DirectionalForest(Estimator):
         return {
             **super().get_state(),
             "directions": self.directions_.tolist(),
-            "trees": [t.to_dict() for t in self.trees_],
+            "trees": trees_to_dicts(self, self.trees_),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "DirectionalForest":
         est = super().from_state(state)
         est.directions_ = np.asarray(state["directions"], dtype=np.float64)
-        est.trees_ = [TreeModel.from_dict(d) for d in state["trees"]]
+        est.trees_ = trees_from_dicts(state["trees"], est.classes_.size,
+                                      est.directions_.shape[0])
         est.stack_ = TreeStack(est.trees_)
         est.n_features_ = est.directions_.shape[0]
         return est

@@ -12,6 +12,10 @@ class InfbenchError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConvergenceWarning(UserWarning):
+    """An iterative fit stopped at its iteration limit before converging."""
+
+
 class DegenerateTarget(InfbenchError):
     """Fewer than two distinct labels in the training target."""
 

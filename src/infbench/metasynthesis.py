@@ -15,44 +15,15 @@ order or in parallel without changing the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .core import (
-    ClassSet,
-    Estimator,
-    check_fit_inputs,
-    derive_seed,
-    resolve_seed,
-    supports_proba,
-)
+from .core import Estimator, check_fit_inputs, derive_seed, resolve_seed, supports_proba
 from .errors import InfbenchError, InsufficientClassMembers, MetaNoProba
 from .baselearners import DecisionTree, LogisticRegression, RandomForest
 
 
 def default_bases() -> list:
-    return [
-        LogisticRegression(max_iter=1000),
-        RandomForest(n_estimators=100),
-        DecisionTree(),
-    ]
-
-
-@dataclass
-class StackingConfig:
-    base_estimators: list = field(default_factory=default_bases)
-    meta_estimator: Estimator = field(default_factory=lambda: LogisticRegression(max_iter=1000))
-    cv: int = 5
-    use_probas: bool = True
-    use_original_features: bool = False
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.cv < 2:
-            raise InfbenchError(f"cv must be >= 2, got {self.cv}")
-        if not self.base_estimators:
-            raise InfbenchError("at least one base estimator is required")
+    return [LogisticRegression(), RandomForest(), DecisionTree()]
 
 
 def stratified_folds(y_idx: np.ndarray, cv: int, seed: int) -> np.ndarray:
@@ -74,12 +45,6 @@ def stratified_folds(y_idx: np.ndarray, cv: int, seed: int) -> np.ndarray:
         members = members[rng.permutation(members.size)]
         fold_of[members] = np.arange(members.size) % cv
     return fold_of
-
-
-def _block_width(prototype, n_classes: int, use_probas: bool) -> int:
-    if use_probas and supports_proba(prototype):
-        return n_classes
-    return 1
 
 
 def _base_block(fitted, X: np.ndarray, classes, use_probas: bool) -> np.ndarray:
@@ -104,78 +69,73 @@ class MetaSynthesisClassifier(Estimator):
     def __init__(self, base_estimators=None, meta_estimator=None, cv: int = 5,
                  use_probas: bool = True, use_original_features: bool = False,
                  seed: int | None = None):
-        self.config = StackingConfig(
-            base_estimators=list(base_estimators) if base_estimators is not None else default_bases(),
-            meta_estimator=meta_estimator if meta_estimator is not None else LogisticRegression(max_iter=1000),
-            cv=cv,
-            use_probas=use_probas,
-            use_original_features=use_original_features,
-            seed=seed,
-        )
-
-    @property
-    def seed(self):
-        return self.config.seed
+        if cv < 2:
+            raise InfbenchError(f"cv must be >= 2, got {cv}")
+        self.base_estimators = (default_bases() if base_estimators is None
+                                else list(base_estimators))
+        if not self.base_estimators:
+            raise InfbenchError("at least one base estimator is required")
+        self.meta_estimator = (meta_estimator if meta_estimator is not None
+                               else LogisticRegression())
+        self.cv = cv
+        self.use_probas = use_probas
+        self.use_original_features = use_original_features
+        self.seed = seed
 
     def hyperparams(self) -> dict:
         """The scalar settings; the stacked estimators are models of their own."""
-        names = ("cv", "use_probas", "use_original_features", "seed")
-        return {name: getattr(self.config, name) for name in names}
+        params = super().hyperparams()
+        del params["base_estimators"], params["meta_estimator"]
+        return params
 
     def fresh_clone(self, seed: int | None = None) -> "MetaSynthesisClassifier":
-        cfg = self.config
-        params = self.hyperparams()
-        if seed is not None:
-            params["seed"] = seed
-        return MetaSynthesisClassifier(
-            base_estimators=[b.fresh_clone() for b in cfg.base_estimators],
-            meta_estimator=cfg.meta_estimator.fresh_clone(),
-            **params,
-        )
+        clone = super().fresh_clone(seed)
+        clone.base_estimators = [b.fresh_clone() for b in self.base_estimators]
+        clone.meta_estimator = self.meta_estimator.fresh_clone()
+        return clone
+
+    def _meta_matrix(self, A: np.ndarray, blocks: list) -> np.ndarray:
+        """Meta-feature matrix: the original features first when configured."""
+        return np.hstack([A, *blocks] if self.use_original_features else blocks)
 
     def oof_meta_features(self, X, y):
         """Out-of-fold meta-feature matrix for (X, y), plus the fold map.
 
         Returns ``(meta, fold_of)`` where meta has one column block per base
-        in config order, prefixed by the original features when configured.
+        in ``base_estimators`` order, prefixed by the original features when
+        configured.
         """
         A, y_idx, classes = check_fit_inputs(X, y)
-        cfg = self.config
-        base = resolve_seed(cfg.seed)
-        fold_of = stratified_folds(y_idx, cfg.cv, derive_seed(base, 0))
-        m = len(cfg.base_estimators)
-        widths = [_block_width(p, classes.size, cfg.use_probas) for p in cfg.base_estimators]
-        meta = np.zeros((A.shape[0], sum(widths)), dtype=np.float64)
+        base = resolve_seed(self.seed)
+        fold_of = stratified_folds(y_idx, self.cv, derive_seed(base, 0))
+        m = len(self.base_estimators)
+        blocks = [None] * m
         raw = np.asarray(y, dtype=object)
-        for k in range(cfg.cv):
+        for k in range(self.cv):
             test = fold_of == k
             train = ~test
-            col = 0
-            for j, proto in enumerate(cfg.base_estimators):
+            for j, proto in enumerate(self.base_estimators):
                 clone = proto.fresh_clone(seed=derive_seed(base, 1 + k * m + j))
                 clone.fit(A[train], raw[train])
-                meta[test, col:col + widths[j]] = _base_block(
-                    clone, A[test], classes, cfg.use_probas
-                )
-                col += widths[j]
-        if cfg.use_original_features:
-            meta = np.hstack([A, meta])
-        return meta, fold_of
+                out = _base_block(clone, A[test], classes, self.use_probas)
+                if blocks[j] is None:
+                    blocks[j] = np.zeros((A.shape[0], out.shape[1]))
+                blocks[j][test] = out
+        return self._meta_matrix(A, blocks), fold_of
 
     def fit(self, X, y) -> "MetaSynthesisClassifier":
         A, y_idx, classes = check_fit_inputs(X, y)
-        cfg = self.config
-        base = resolve_seed(cfg.seed)
-        m = len(cfg.base_estimators)
+        base = resolve_seed(self.seed)
+        m = len(self.base_estimators)
 
         meta, _ = self.oof_meta_features(A, y)
         raw = np.asarray(y, dtype=object)
         self.base_models_ = []
-        for j, proto in enumerate(cfg.base_estimators):
-            clone = proto.fresh_clone(seed=derive_seed(base, 1 + cfg.cv * m + j))
+        for j, proto in enumerate(self.base_estimators):
+            clone = proto.fresh_clone(seed=derive_seed(base, 1 + self.cv * m + j))
             self.base_models_.append(clone.fit(A, raw))
-        self.meta_model_ = cfg.meta_estimator.fresh_clone(
-            seed=derive_seed(base, 1 + cfg.cv * m + m)
+        self.meta_model_ = self.meta_estimator.fresh_clone(
+            seed=derive_seed(base, 1 + self.cv * m + m)
         ).fit(meta, raw)
 
         self.meta_width_ = meta.shape[1]
@@ -185,15 +145,10 @@ class MetaSynthesisClassifier(Estimator):
 
     def _inference_meta(self, X) -> np.ndarray:
         A = self._check_predict_input(X)
-        cfg = self.config
-        blocks = [
-            _base_block(fitted, A, self.classes_, cfg.use_probas)
+        return self._meta_matrix(A, [
+            _base_block(fitted, A, self.classes_, self.use_probas)
             for fitted in self.base_models_
-        ]
-        meta = np.hstack(blocks)
-        if cfg.use_original_features:
-            meta = np.hstack([A, meta])
-        return meta
+        ])
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted()
@@ -201,8 +156,8 @@ class MetaSynthesisClassifier(Estimator):
 
     def predict_proba(self, X) -> np.ndarray:
         self._require_fitted()
-        if not supports_proba(self.config.meta_estimator):
-            raise MetaNoProba(type(self.config.meta_estimator).__name__)
+        if not supports_proba(self.meta_estimator):
+            raise MetaNoProba(type(self.meta_estimator).__name__)
         return self.meta_model_.predict_proba(self._inference_meta(X))
 
     def get_state(self) -> dict:
@@ -220,16 +175,11 @@ class MetaSynthesisClassifier(Estimator):
     def from_state(cls, state: dict) -> "MetaSynthesisClassifier":
         from .serialize import estimator_from_state
 
-        bases = [estimator_from_state(s) for s in state["base_models"]]
-        meta = estimator_from_state(state["meta_model"])
-        est = cls(
-            base_estimators=[b.fresh_clone() for b in bases],
-            meta_estimator=meta.fresh_clone(),
-            **state["hyperparams"],
-        )
-        est.base_models_ = bases
-        est.meta_model_ = meta
-        est.classes_ = ClassSet(tuple(state["classes"]))
+        est = super().from_state(state)
+        est.base_models_ = [estimator_from_state(s) for s in state["base_models"]]
+        est.meta_model_ = estimator_from_state(state["meta_model"])
+        est.base_estimators = [b.fresh_clone() for b in est.base_models_]
+        est.meta_estimator = est.meta_model_.fresh_clone()
         est.meta_width_ = int(state["meta_width"])
         est.n_features_ = int(state["n_features"])
         return est

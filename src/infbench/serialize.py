@@ -11,23 +11,12 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 
-from .baselearners import DecisionTree, LogisticRegression, RandomForest
-from .directional import DirectionalForest
 from .errors import FormatVersionMismatch, IngestError, MissingFile
-from .metasynthesis import MetaSynthesisClassifier
+from .models import MODELS
 
 FORMAT_VERSION = 1
 
-ESTIMATOR_KINDS = {
-    cls.kind: cls
-    for cls in (
-        DecisionTree,
-        RandomForest,
-        LogisticRegression,
-        DirectionalForest,
-        MetaSynthesisClassifier,
-    )
-}
+ESTIMATOR_KINDS = {e.factory.kind: e.factory for e in MODELS.values()}
 
 
 @contextmanager
@@ -80,6 +69,8 @@ def load_model_artifact(path):
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise IngestError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise IngestError(f"{path} nests too deeply to read") from e
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(

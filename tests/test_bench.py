@@ -558,8 +558,6 @@ def test_cell_seed_streams():
 def test_protocol_validation():
     with pytest.raises(InfbenchError):
         EvalProtocol(folds=1)
-    with pytest.raises(InfbenchError):
-        EvalProtocol(metric="f1")
 
 
 def test_evaluate_separable_dataset(tiny_registry):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import infbench
+from infbench.baselearners.tree import MAX_SAVED_DEPTH
 from infbench.cli import main
 from infbench.models import MODELS
 
@@ -290,6 +291,14 @@ MALFORMED_ARTIFACTS = [
     pytest.param("directional_forest",
                  lambda d: _state(d)["trees"][1]["root"].update(feature=-1),
                  "feature", id="negative_feature"),
+    pytest.param("random_forest", lambda d: _widen_leaves(_state(d)["trees"]),
+                 "n_classes", id="trees_wider_than_classes"),
+    pytest.param("directional_forest",
+                 lambda d: _state(d)["directions"].append(1.0),
+                 "n_features", id="trees_narrower_than_directions"),
+    pytest.param("decision_tree",
+                 lambda d: _first_leaf(_state(d)["tree"]).update(counts=[0, 0]),
+                 "counts", id="all_zero_leaf"),
 ]
 
 
@@ -298,6 +307,19 @@ def _first_leaf(tree):
     while "counts" not in node:
         node = node["left"]
     return node
+
+
+def _widen_leaves(trees):
+    """Give every tree a third class, as if trained on three labels."""
+    for tree in trees:
+        tree["n_classes"] = 3
+        stack = [tree["root"]]
+        while stack:
+            node = stack.pop()
+            if "counts" in node:
+                node["counts"].append(1)
+            else:
+                stack.extend((node["left"], node["right"]))
 
 
 @pytest.mark.parametrize("model_id, mutate, key", MALFORMED_ARTIFACTS)
@@ -322,3 +344,64 @@ def test_predict_malformed_artifact_exits_1(registry, tmp_path, capsys,
     assert key in err[0]
     if key != "encoding":
         assert model_id in err[0]
+
+
+def alternating_csv(path, n):
+    """x = 0..n-1 with labels a, b, a, ...: a full tree grows to depth n - 1."""
+    write_csv(path, ["x", "label"], [[str(i), "ab"[i % 2]] for i in range(n)])
+
+
+def test_deepest_savable_tree_round_trips(tmp_path, capsys):
+    data = tmp_path / "deep.csv"
+    alternating_csv(data, MAX_SAVED_DEPTH + 1)
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--model", "decision_tree", "--data", str(data),
+        "--target", "label", "--out", str(model_path), "--seed", "5",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data)]) == 0
+    predicted = capsys.readouterr().out.splitlines()
+    assert predicted == ["ab"[i % 2] for i in range(MAX_SAVED_DEPTH + 1)]
+
+
+def test_train_too_deep_tree_exits_1(tmp_path, capsys):
+    data = tmp_path / "deep.csv"
+    alternating_csv(data, 1500)
+    model_path = tmp_path / "model.json"
+    code = main([
+        "train", "--model", "decision_tree", "--data", str(data),
+        "--target", "label", "--out", str(model_path), "--seed", "5",
+    ])
+    assert code == 1
+    assert not model_path.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "decision_tree" in err[0] and "1499" in err[0]
+
+
+def _right_chain(depth):
+    """JSON text of a tree that splits ``depth`` times down its right side."""
+    split = '{"feature": 0, "threshold": 0.5, "left": {"counts": [1, 0]}, "right": '
+    return split * depth + '{"counts": [0, 1]}' + "}" * depth
+
+
+@pytest.mark.parametrize("depth", [MAX_SAVED_DEPTH + 1, 5000])
+def test_predict_too_deep_artifact_exits_1(registry, tmp_path, capsys, depth):
+    model_path = tmp_path / "model.json"
+    main([
+        "train", "--model", "decision_tree", "--data", str(tmp_path / "a.csv"),
+        "--target", "label", "--out", str(model_path), "--seed", "5",
+    ])
+    doc = json.loads(model_path.read_text())
+    _state(doc)["tree"]["root"] = "ROOT"
+    model_path.write_text(json.dumps(doc).replace('"ROOT"', _right_chain(depth)))
+    capsys.readouterr()
+    code = main([
+        "predict", "--model-file", str(model_path),
+        "--data", str(tmp_path / "a.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "deep" in err[0]

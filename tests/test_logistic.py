@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from infbench.baselearners import LogisticRegression
 from infbench.baselearners.logistic import loss_and_gradient, softmax
-from infbench.errors import NotFitted
+from infbench.errors import ConvergenceWarning, NotFitted
 
 
 def numeric_gradient(W, b, X, y, l2, step=1e-5):
@@ -155,3 +157,22 @@ def test_state_roundtrip(blobs3):
     clone = LogisticRegression.from_state(model.get_state())
     assert np.array_equal(clone.predict_proba(X), model.predict_proba(X))
     assert clone.predict(X).tolist() == model.predict(X).tolist()
+
+
+def test_stopping_at_max_iter_warns(blobs3):
+    X, y = blobs3
+    with pytest.warns(ConvergenceWarning):
+        model = LogisticRegression(max_iter=5).fit(X, y)
+    assert model.n_iter_ == 5
+
+
+def test_converging_fit_does_not_warn():
+    from infbench.bench.ingest import encode_table
+    from infbench.bench.synth import rings
+
+    table = rings()
+    data = encode_table("rings", table.header, table.rows, "label", table.kinds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        model = LogisticRegression().fit(data.X, data.y)
+    assert model.n_iter_ < model.max_iter

@@ -6,11 +6,7 @@ import pytest
 from infbench.baselearners import DecisionTree, LogisticRegression, RandomForest
 from infbench.core import Estimator, check_fit_inputs
 from infbench.errors import InfbenchError, InsufficientClassMembers, MetaNoProba
-from infbench.metasynthesis import (
-    MetaSynthesisClassifier,
-    StackingConfig,
-    stratified_folds,
-)
+from infbench.metasynthesis import MetaSynthesisClassifier, stratified_folds
 
 from conftest import make_blobs
 
@@ -171,19 +167,44 @@ def test_probability_blocks_rowsum(blobs3):
 
 def test_config_validation():
     with pytest.raises(InfbenchError):
-        StackingConfig(cv=1)
+        MetaSynthesisClassifier(cv=1)
     with pytest.raises(InfbenchError):
-        StackingConfig(base_estimators=[])
+        MetaSynthesisClassifier(base_estimators=[])
 
 
 def test_default_config_matches_convention():
-    cfg = StackingConfig()
-    assert cfg.cv == 5
-    assert cfg.use_probas is True
-    assert cfg.use_original_features is False
-    assert len(cfg.base_estimators) == 3
-    assert isinstance(cfg.meta_estimator, LogisticRegression)
-    assert cfg.meta_estimator.max_iter == 1000
+    stack = MetaSynthesisClassifier()
+    assert stack.cv == 5
+    assert stack.use_probas is True
+    assert stack.use_original_features is False
+    assert stack.seed is None
+    assert [type(b) for b in stack.base_estimators] == [
+        LogisticRegression, RandomForest, DecisionTree,
+    ]
+    assert stack.base_estimators[0].max_iter == 1000
+    assert stack.base_estimators[1].n_estimators == 100
+    assert isinstance(stack.meta_estimator, LogisticRegression)
+    assert stack.meta_estimator.max_iter == 1000
+
+
+def test_fresh_clone_copies_every_estimator():
+    stack = MetaSynthesisClassifier(
+        base_estimators=[LogisticRegression(max_iter=60), DecisionTree(max_depth=3)],
+        meta_estimator=LogisticRegression(l2=0.5),
+        cv=3,
+        seed=4,
+    )
+    clone = stack.fresh_clone(seed=8)
+    assert clone.hyperparams() == dict(stack.hyperparams(), seed=8)
+    originals = {id(e) for e in [stack.meta_estimator, *stack.base_estimators]}
+    copies = {id(e) for e in [clone.meta_estimator, *clone.base_estimators]}
+    assert not originals & copies
+    assert clone.base_estimators is not stack.base_estimators
+    assert [b.hyperparams() for b in clone.base_estimators] == [
+        b.hyperparams() for b in stack.base_estimators
+    ]
+    assert clone.base_estimators[0].max_iter == 60
+    assert clone.meta_estimator.l2 == 0.5
 
 
 def test_fit_predict_consistency(blobs3):

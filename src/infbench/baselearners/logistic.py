@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from ..core import Estimator, check_fit_inputs
+from ..core import Estimator, check_fit_inputs, finite_floats
 from ..errors import ConvergenceWarning
 
 
@@ -112,10 +112,10 @@ class LogisticRegression(Estimator):
     @classmethod
     def from_state(cls, state: dict) -> "LogisticRegression":
         est = super().from_state(state)
-        est.mean_ = np.asarray(state["mean"], dtype=np.float64)
-        est.scale_ = np.asarray(state["scale"], dtype=np.float64)
-        est.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        est.intercept_ = np.asarray(state["intercept"], dtype=np.float64)
+        est.mean_ = finite_floats(state["mean"], "mean")
+        est.scale_ = finite_floats(state["scale"], "scale")
+        est.coef_ = finite_floats(state["coef"], "coef")
+        est.intercept_ = finite_floats(state["intercept"], "intercept")
         est.n_iter_ = int(state["n_iter"])
         est.n_features_ = est.coef_.shape[0]
         return est

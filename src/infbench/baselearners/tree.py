@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..core import Estimator, check_fit_inputs, resolve_seed, rng_from
+from ..core import Estimator, check_fit_inputs, finite_floats, resolve_seed, rng_from
 from ..errors import InfbenchError
 
 
@@ -289,8 +289,9 @@ def trees_from_dicts(dicts: list, n_classes: int, n_features: int | None = None)
     """``TreeModel.from_dict`` of each of an artifact's tree dicts, checked together.
 
     Raises ValueError unless there is a tree, every tree has ``n_classes``
-    classes and one shared feature count (``n_features`` when given), and
-    every leaf holds nonnegative class counts, not all zero.
+    classes and one shared feature count (``n_features`` when given), every
+    threshold is finite, and every leaf holds nonnegative class counts, not
+    all zero.
     """
     trees = [TreeModel.from_dict(d) for d in dicts]
     if not trees:
@@ -300,6 +301,7 @@ def trees_from_dicts(dicts: list, n_classes: int, n_features: int | None = None)
     if shapes != {expected}:
         raise ValueError(f"trees have (n_classes, n_features) {sorted(shapes)}, "
                          f"expected {expected}")
+    finite_floats(np.concatenate([t.threshold for t in trees]), "a tree threshold")
     counts = np.concatenate([t.counts for t in trees])
     # Internal nodes hold zero counts, and a tree of n nodes has (n + 1) // 2
     # leaves, so every leaf holds some counts iff that many rows do.

@@ -14,14 +14,13 @@ import json
 import logging
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..core import derive_seed, resolve_seed, stable_text_hash
-from ..errors import EvaluationError, InfbenchError, InsufficientClassMembers
+from ..errors import ConvergenceWarning, EvaluationError, InfbenchError
 from ..metasynthesis import stratified_folds
 from .ingest import ingest_csv
 from .scoring import (
@@ -71,7 +70,7 @@ def _cross_validate(prototype, data, folds: int, seed: int,
             pred = clone.predict(data.X[test])
         except Exception as e:
             raise EvaluationError(model_id, dataset_id, k, e) from e
-        hits = sum(1 for p, t in zip(pred, data.y[test]) if str(p) == str(t))
+        hits = int((pred.astype(str) == data.y[test].astype(str)).sum())
         accuracies.append(hits / int(test.sum()))
     return accuracies
 
@@ -89,13 +88,26 @@ def evaluate_model_on_dataset(prototype, data, protocol: EvalProtocol, *,
 
 
 def _eval_cell_task(args):
-    """Worker-side cell evaluation; exceptions come back as strings."""
+    """Worker-side cell evaluation; exceptions come back as strings.
+
+    The ``ConvergenceWarning``s the cell raises come back as their messages,
+    so the parent reports them once for the grid rather than once per worker.
+    """
     model_id, prototype, dataset_id, data, folds, seed = args
-    try:
-        accs = _cross_validate(prototype, data, folds, seed, model_id, dataset_id)
-        return model_id, dataset_id, accs, None
-    except Exception as e:
-        return model_id, dataset_id, None, f"{type(e).__name__}: {e}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        try:
+            accs = _cross_validate(prototype, data, folds, seed, model_id, dataset_id)
+            error = None
+        except Exception as e:
+            accs, error = None, f"{type(e).__name__}: {e}"
+    stopped = []
+    for w in caught:
+        if issubclass(w.category, ConvergenceWarning):
+            stopped.append(str(w.message))
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return model_id, dataset_id, accs, error, stopped
 
 
 @dataclass
@@ -154,10 +166,15 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
             for out in pool.map(_eval_cell_task, tasks):
                 outcomes.append(out)
                 log.info("evaluated %s on %s", out[0], out[1])
+    stopped = {f"{m} on {d}": caught for m, d, _, _, caught in outcomes if caught}
+    if stopped:
+        messages = sorted({msg for caught in stopped.values() for msg in caught})
+        log.warning("%s, in %d cells: %s", "; ".join(messages), len(stopped),
+                    ", ".join(stopped))
 
     fold_accuracies = {}
     failures = []
-    for model_id, dataset_id, accs, error in outcomes:
+    for model_id, dataset_id, accs, error, _ in outcomes:
         if error is None:
             fold_accuracies[(model_id, dataset_id)] = accs
         else:

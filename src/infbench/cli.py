@@ -96,8 +96,6 @@ def cmd_bench_run(args) -> int:
     manifest = args.registry if args.registry is not None else bundled_manifest_path()
     specs = load_registry(manifest)
     entries = select_models(args.models)
-    if args.workers < 1:
-        raise InfbenchError(f"--workers must be >= 1, got {args.workers}")
     protocol = EvalProtocol(folds=args.folds, seed=args.seed)
     models = {e.model_id: (e.make(), e.generator) for e in entries}
     log.info("benchmark: %d models x %d datasets, %d folds, %d workers",

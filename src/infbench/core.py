@@ -85,11 +85,14 @@ class ClassSet:
 
     labels: tuple
     _index_of: dict = field(repr=False, hash=False, compare=False, default=None)
+    _array: np.ndarray = field(repr=False, hash=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index_of", {str(lab): i for i, lab in enumerate(self.labels)}
         )
+        object.__setattr__(self, "_array", np.fromiter(
+            self.labels, dtype=object, count=len(self.labels)))
 
     @property
     def size(self) -> int:
@@ -106,10 +109,7 @@ class ClassSet:
 
     def decode(self, indices: np.ndarray) -> np.ndarray:
         """Map class indices back to the original label objects."""
-        out = np.empty(len(indices), dtype=object)
-        for i, idx in enumerate(indices):
-            out[i] = self.labels[int(idx)]
-        return out
+        return self._array[np.asarray(indices, dtype=np.intp)]
 
 
 def encode_labels(raw_labels) -> tuple[ClassSet, np.ndarray]:
@@ -158,18 +158,18 @@ def validate_matrix(X: np.ndarray) -> np.ndarray:
     return A
 
 
-def as_label_array(y) -> np.ndarray:
-    """1-D object array of labels; keeps original label objects intact."""
-    arr = np.empty(len(y), dtype=object)
-    for i, lab in enumerate(y):
-        arr[i] = lab
-    return arr
+def finite_floats(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; raises ValueError if one is NaN or infinite."""
+    A = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return A
 
 
 def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray, ClassSet]:
     """Validate and encode training inputs shared by every estimator's fit."""
     A = validate_matrix(X)
-    labels = as_label_array(y)
+    labels = np.fromiter(y, dtype=object, count=len(y))  # the same label objects
     if len(labels) != A.shape[0]:
         raise DimensionMismatch(
             f"{A.shape[0]} rows but {len(labels)} labels"

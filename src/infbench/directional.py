@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Estimator, check_fit_inputs, derive_seed, resolve_seed
+from .core import (Estimator, check_fit_inputs, derive_seed, finite_floats,
+                   resolve_seed)
 from .errors import MissingClass
 from .baselearners.forest import grow_forest, plurality_vote
 from .baselearners.tree import (TreeStack, descend_blocks, trees_from_dicts,
@@ -93,7 +94,7 @@ class DirectionalForest(Estimator):
     @classmethod
     def from_state(cls, state: dict) -> "DirectionalForest":
         est = super().from_state(state)
-        est.directions_ = np.asarray(state["directions"], dtype=np.float64)
+        est.directions_ = finite_floats(state["directions"], "directions")
         est.trees_ = trees_from_dicts(state["trees"], est.classes_.size,
                                       est.directions_.shape[0])
         est.stack_ = TreeStack(est.trees_)

@@ -110,7 +110,7 @@ class MetaSynthesisClassifier(Estimator):
         fold_of = stratified_folds(y_idx, self.cv, derive_seed(base, 0))
         m = len(self.base_estimators)
         blocks = [None] * m
-        raw = np.asarray(y, dtype=object)
+        raw = np.fromiter(y, dtype=object, count=len(y))
         for k in range(self.cv):
             test = fold_of == k
             train = ~test
@@ -129,7 +129,7 @@ class MetaSynthesisClassifier(Estimator):
         m = len(self.base_estimators)
 
         meta, _ = self.oof_meta_features(A, y)
-        raw = np.asarray(y, dtype=object)
+        raw = np.fromiter(y, dtype=object, count=len(y))
         self.base_models_ = []
         for j, proto in enumerate(self.base_estimators):
             clone = proto.fresh_clone(seed=derive_seed(base, 1 + self.cv * m + j))

@@ -12,62 +12,39 @@ from .metasynthesis import MetaSynthesisClassifier
 
 @dataclass(frozen=True)
 class ModelEntry:
-    model_id: str
+    """A registered model: its class declares its id (``kind``) and defaults."""
+
     generator: str  # user | system | baseline
     factory: type
-    defaults: dict
     description: str
 
-    def make(self, seed=None):
+    @property
+    def model_id(self) -> str:
+        return self.factory.kind
+
+    @property
+    def defaults(self) -> dict:
+        """The default hyperparameters; stacked estimators are listed by kind."""
         est = self.factory()
-        if seed is not None:
-            est = est.fresh_clone(seed=seed)
-        return est
+        if not isinstance(est, MetaSynthesisClassifier):
+            return est.hyperparams()
+        return {"bases": [b.kind for b in est.base_estimators],
+                "meta": est.meta_estimator.kind, **est.hyperparams()}
+
+    def make(self, seed=None):
+        return self.factory().fresh_clone(seed)
 
 
-MODELS = {
-    "meta_synthesis": ModelEntry(
-        model_id="meta_synthesis",
-        generator="user",
-        factory=MetaSynthesisClassifier,
-        defaults={
-            "bases": ["logistic_regression", "random_forest", "decision_tree"],
-            "meta": "logistic_regression",
-            "cv": 5,
-            "use_probas": True,
-            "use_original_features": False,
-        },
-        description="stacked ensemble over out-of-fold base probabilities",
-    ),
-    "directional_forest": ModelEntry(
-        model_id="directional_forest",
-        generator="system",
-        factory=DirectionalForest,
-        defaults={"n_estimators": 100, "max_features": "sqrt"},
-        description="forest on direction-aligned features, no bootstrap",
-    ),
-    "random_forest": ModelEntry(
-        model_id="random_forest",
-        generator="baseline",
-        factory=RandomForest,
-        defaults={"n_estimators": 100, "max_features": "sqrt"},
-        description="bootstrap-aggregated gini trees",
-    ),
-    "logistic_regression": ModelEntry(
-        model_id="logistic_regression",
-        generator="baseline",
-        factory=LogisticRegression,
-        defaults={"lr": 0.1, "l2": 0.0001, "max_iter": 1000, "tol": 1e-06},
-        description="multinomial softmax regression, full-batch gradient descent",
-    ),
-    "decision_tree": ModelEntry(
-        model_id="decision_tree",
-        generator="baseline",
-        factory=DecisionTree,
-        defaults={"max_depth": None, "min_samples_split": 2},
-        description="single gini decision tree",
-    ),
-}
+MODELS = {e.model_id: e for e in (
+    ModelEntry("user", MetaSynthesisClassifier,
+               "stacked ensemble over out-of-fold base probabilities"),
+    ModelEntry("system", DirectionalForest,
+               "forest on direction-aligned features, no bootstrap"),
+    ModelEntry("baseline", RandomForest, "bootstrap-aggregated gini trees"),
+    ModelEntry("baseline", LogisticRegression,
+               "multinomial softmax regression, full-batch gradient descent"),
+    ModelEntry("baseline", DecisionTree, "single gini decision tree"),
+)}
 
 
 def get_model(model_id: str) -> ModelEntry:

@@ -1,8 +1,9 @@
 """Versioned JSON model artifacts.
 
 An artifact stores the estimator kind, its fitted state, and the table
-encoder that produced its training matrix.  Floats serialize via repr, which
-round-trips float64 exactly, so a loaded model predicts bit-identically.
+encoder that produced its training matrix, as compact JSON with sorted keys.
+Floats serialize via repr, which round-trips float64 exactly, so a loaded
+model predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from .errors import FormatVersionMismatch, IngestError, MissingFile
 from .models import MODELS
 
 FORMAT_VERSION = 1
-
-ESTIMATOR_KINDS = {e.factory.kind: e.factory for e in MODELS.values()}
 
 
 @contextmanager
@@ -36,11 +35,11 @@ def estimator_state(est) -> dict:
 
 def estimator_from_state(d: dict):
     kind = d["kind"]
-    cls = ESTIMATOR_KINDS.get(kind)
-    if cls is None:
+    entry = MODELS.get(kind)
+    if entry is None:
         raise IngestError(f"unknown estimator kind {kind!r} in artifact")
     with _malformed(f"{kind} state"):
-        return cls.from_state(d["state"])
+        return entry.factory.from_state(d["state"])
 
 
 def save_model_artifact(path, model_id: str, est, encoder) -> Path:
@@ -53,8 +52,8 @@ def save_model_artifact(path, model_id: str, est, encoder) -> Path:
         "encoding": encoder.to_dict(),
     }
     path = Path(path)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 

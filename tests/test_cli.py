@@ -13,6 +13,7 @@ import pytest
 import infbench
 from infbench.baselearners.tree import MAX_SAVED_DEPTH
 from infbench.cli import main
+from infbench.metasynthesis import MetaSynthesisClassifier
 from infbench.models import MODELS
 
 
@@ -66,14 +67,31 @@ def test_list_models_machine(capsys):
         assert "defaults" in e and "description" in e
 
 
-def test_module_entry_point_runs():
+def test_list_models_defaults_are_the_constructor_defaults(capsys):
+    assert main(["list-models", "--format", "machine"]) == 0
+    listed = {e["id"]: e["defaults"] for e in json.loads(capsys.readouterr().out)}
+    for model_id, entry in MODELS.items():
+        est = entry.factory()
+        expected = est.hyperparams()
+        if isinstance(est, MetaSynthesisClassifier):
+            expected["bases"] = [b.kind for b in est.base_estimators]
+            expected["meta"] = est.meta_estimator.kind
+        assert listed[model_id] == expected
+
+
+def run_cli(*argv):
+    """``python -m infbench.cli argv`` in a child process, on this package."""
     src = str(Path(infbench.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "infbench.cli", "list-models"],
+    return subprocess.run(
+        [sys.executable, "-m", "infbench.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_entry_point_runs():
+    proc = run_cli("list-models")
     assert proc.returncode == 0
     for model_id in MODELS:
         assert model_id in proc.stdout
@@ -164,6 +182,21 @@ def test_bench_partial_failure_exits_2(registry, tmp_path):
     doc = json.loads((tmp_path / "out" / "results.json").read_text())
     assert len(doc["failures"]) == 2
     assert {f["dataset"] for f in doc["failures"]} == {"gamma"}
+
+
+def test_pooled_bench_reports_unconverged_cells_once(registry, tmp_path):
+    proc = run_cli(
+        "bench", "--registry", str(registry), "--models", "logistic_regression",
+        "--folds", "3", "--seed", "7", "--workers", "2",
+        "--out", str(tmp_path / "out"),
+    )
+    assert proc.returncode == 0
+    err = proc.stderr.splitlines()
+    stopped = [line for line in err if "max_iter" in line]
+    assert len(stopped) == 1
+    assert stopped[0].startswith("WARNING infbench.bench: ")
+    assert "in 2 cells: logistic_regression on alpha, logistic_regression on beta" in stopped[0]
+    assert not any("warnings.warn(" in line for line in err)
 
 
 def test_bench_bad_workers_exits_1(registry, tmp_path):
@@ -299,6 +332,27 @@ MALFORMED_ARTIFACTS = [
     pytest.param("decision_tree",
                  lambda d: _first_leaf(_state(d)["tree"]).update(counts=[0, 0]),
                  "counts", id="all_zero_leaf"),
+    pytest.param("decision_tree",
+                 lambda d: _state(d)["tree"]["root"].update(threshold=float("nan")),
+                 "threshold", id="nan_threshold"),
+    pytest.param("random_forest",
+                 lambda d: _state(d)["trees"][2]["root"].update(threshold=float("-inf")),
+                 "threshold", id="infinite_threshold"),
+    pytest.param("directional_forest",
+                 lambda d: _state(d)["directions"].__setitem__(0, float("nan")),
+                 "directions", id="nan_direction"),
+    pytest.param("logistic_regression",
+                 lambda d: _state(d)["coef"][0].__setitem__(1, float("inf")),
+                 "coef", id="infinite_coef"),
+    pytest.param("logistic_regression",
+                 lambda d: _state(d)["intercept"].__setitem__(0, float("nan")),
+                 "intercept", id="nan_intercept"),
+    pytest.param("logistic_regression",
+                 lambda d: _state(d)["mean"].__setitem__(1, float("nan")),
+                 "mean", id="nan_mean"),
+    pytest.param("logistic_regression",
+                 lambda d: _state(d)["scale"].__setitem__(0, float("inf")),
+                 "scale", id="infinite_scale"),
 ]
 
 
@@ -359,6 +413,8 @@ def test_deepest_savable_tree_round_trips(tmp_path, capsys):
         "train", "--model", "decision_tree", "--data", str(data),
         "--target", "label", "--out", str(model_path), "--seed", "5",
     ]) == 0
+    # compact JSON: size grows with the node count, not with depth squared
+    assert model_path.stat().st_size < 100_000
     capsys.readouterr()
     assert main(["predict", "--model-file", str(model_path), "--data", str(data)]) == 0
     predicted = capsys.readouterr().out.splitlines()

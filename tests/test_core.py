@@ -26,9 +26,14 @@ def test_encode_labels_sorted_distinct():
 
 
 def test_encode_labels_roundtrip():
-    raw = ["b", "a", "b", "c", "a"]
-    classes, idx = encode_labels(raw)
-    assert classes.decode(idx).tolist() == raw
+    for raw in (["b", "a", "b", "c", "a"],
+                ["b", 7, np.int64(3), ("t", 1), "b", 7, ("t", 1)]):
+        classes, idx = encode_labels(raw)
+        assert classes.decode(idx).tolist() == raw
+        # decoding gives back the label objects themselves, not copies
+        assert all(d is r for d, r in zip(classes.decode(idx), raw))
+        _, y_idx, fit_classes = check_fit_inputs(np.ones((len(raw), 1)), raw)
+        assert all(d is r for d, r in zip(fit_classes.decode(y_idx), raw))
 
 
 def test_encode_labels_cardinality():

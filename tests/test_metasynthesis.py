@@ -332,3 +332,17 @@ def test_state_roundtrip(blobs3):
     clone = M.from_state(stack.get_state())
     assert clone.predict(X).tolist() == stack.predict(X).tolist()
     assert np.array_equal(clone.predict_proba(X), stack.predict_proba(X))
+
+
+def test_tuple_labels_come_back_as_the_same_objects():
+    X, y = make_blobs(n_per_class=10, seed=5)
+    a, b = ("a", 1), ("b", 2)
+    labels = [a if lab == "c0" else b for lab in y]
+    model = MetaSynthesisClassifier(
+        base_estimators=[DecisionTree(), LogisticRegression(max_iter=50)],
+        meta_estimator=DecisionTree(), cv=3, seed=2,
+    ).fit(X, labels)
+    predicted = model.predict(X)
+    assert predicted.shape == (len(labels),)
+    assert all(p is a or p is b for p in predicted)
+    assert predicted.tolist() == labels

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Estimator, check_fit_inputs, derive_seed, resolve_seed, rng_from
-from .tree import (TreeStack, descend_blocks, grow_tree, tree_params,
+from .tree import (TreeStack, descend_blocks, grow_trees, tree_params,
                    trees_from_dicts, trees_to_dicts)
 
 
@@ -27,17 +27,13 @@ def grow_forest(est, X: np.ndarray, y_idx: np.ndarray, n_classes: int,
                 sample) -> list:
     """Grow ``est.n_estimators`` trees with ``est``'s tree hyperparameters.
 
-    ``sample(i)`` returns tree i's ``(rows, feature_seed)``: the row index
-    (or slice) the tree trains on, and the seed of its per-node
+    ``sample(i)`` returns tree i's ``(rows, feature_seed)``: the indices of
+    the rows of X the tree trains on, and the seed of its per-node
     feature-sampling stream.
     """
-    params = tree_params(est)
-    trees = []
-    for i in range(est.n_estimators):
-        rows, feature_seed = sample(i)
-        trees.append(grow_tree(X[rows], y_idx[rows], n_classes,
-                               feature_rng=rng_from(feature_seed), **params))
-    return trees
+    rows, seeds = zip(*(sample(i) for i in range(est.n_estimators)))
+    return grow_trees(X, y_idx, n_classes, rows, [rng_from(seed) for seed in seeds],
+                      **tree_params(est))
 
 
 class RandomForest(Estimator):
@@ -66,13 +62,14 @@ class RandomForest(Estimator):
         A, y_idx, classes = check_fit_inputs(X, y)
         base = resolve_seed(self.seed)
         n = A.shape[0]
+        every_row = np.arange(n)
 
         def sample(i):
             tree_seed = derive_seed(base, i)
             if self.bootstrap:
                 rows = rng_from(tree_seed).integers(0, n, size=n)
             else:
-                rows = slice(None)
+                rows = every_row
             return rows, derive_seed(tree_seed, 1)
 
         self.trees_ = grow_forest(self, A, y_idx, classes.size, sample)

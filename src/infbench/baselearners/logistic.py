@@ -25,6 +25,15 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def gradient(P: np.ndarray, W: np.ndarray, X: np.ndarray, y_idx: np.ndarray,
+             l2: float):
+    """Gradients w.r.t. W and b of ``loss_and_gradient``'s loss, given the
+    softmax probabilities ``P``, which it overwrites."""
+    n = X.shape[0]
+    P[np.arange(n), y_idx] -= 1.0
+    return X.T @ P / n + l2 * W, P.sum(axis=0) / n
+
+
 def loss_and_gradient(W: np.ndarray, b: np.ndarray, X: np.ndarray,
                       y_idx: np.ndarray, l2: float):
     """Mean cross-entropy with L2 on W, and its gradients w.r.t. W and b.
@@ -37,11 +46,7 @@ def loss_and_gradient(W: np.ndarray, b: np.ndarray, X: np.ndarray,
     # clip keeps log finite; at float64 P only underflows for margins ~>700
     loss = -np.mean(np.log(np.clip(correct, 1e-300, None)))
     loss += 0.5 * l2 * float(np.sum(W * W))
-    G = P.copy()
-    G[np.arange(n), y_idx] -= 1.0
-    grad_W = X.T @ G / n + l2 * W
-    grad_b = G.sum(axis=0) / n
-    return loss, grad_W, grad_b
+    return (loss, *gradient(P, W, X, y_idx, l2))
 
 
 class LogisticRegression(Estimator):
@@ -69,7 +74,7 @@ class LogisticRegression(Estimator):
         b = np.zeros(C, dtype=np.float64)
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            _, grad_W, grad_b = loss_and_gradient(W, b, Z, y_idx, self.l2)
+            grad_W, grad_b = gradient(softmax(Z @ W + b), W, Z, y_idx, self.l2)
             gmax = max(np.abs(grad_W).max(), np.abs(grad_b).max())
             if gmax < self.tol:
                 n_iter -= 1
@@ -116,6 +121,11 @@ class LogisticRegression(Estimator):
         est.scale_ = finite_floats(state["scale"], "scale")
         est.coef_ = finite_floats(state["coef"], "coef")
         est.intercept_ = finite_floats(state["intercept"], "intercept")
+        d, C = est.mean_.size, est.classes_.size
+        shapes = [a.shape for a in (est.mean_, est.scale_, est.coef_, est.intercept_)]
+        if shapes != [(d,), (d,), (d, C), (C,)]:
+            raise ValueError(f"mean, scale, coef and intercept have shapes "
+                             f"{shapes}, expected {[(d,), (d,), (d, C), (C,)]}")
         est.n_iter_ = int(state["n_iter"])
         est.n_features_ = est.coef_.shape[0]
         return est

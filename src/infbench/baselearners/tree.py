@@ -42,11 +42,14 @@ def resolve_feature_count(max_features, n_features: int) -> int:
     return k
 
 
-def _search_split(Xn, yn, n_classes: int, min_samples_leaf: int):
-    """Best boundary over the candidate columns of a node.
+def _search_nodes(X, y_idx, n_classes: int, nodes: list, min_samples_leaf: int) -> list:
+    """Best split of each of ``nodes``, scored together in one segmented search.
 
-    Xn is the node's rows restricted to candidate columns, yn the node's class
-    indices.  Returns ``(col, boundary_index, sorted_values_column)`` or None.
+    A node is ``(rows, feats)``: its row indices into X and y_idx, and its
+    ascending candidate columns, as many for every node.  Returns, per node,
+    None or ``(feature, threshold, left, right)``, each child as ``(rows,
+    class_counts)``.  Nodes holding more than ``BLOCK_PAIRS`` (row, candidate,
+    class) triples between them are searched in halves, to bound memory.
 
     Minimizing weighted child Gini is equivalent to maximizing
     q = sum(left_counts^2)/n_l + sum(right_counts^2)/n_r, a ratio of small
@@ -54,58 +57,70 @@ def _search_split(Xn, yn, n_classes: int, min_samples_leaf: int):
     cross-multiplication picks the true maximum and applies tie-breaking, and
     the positive-gain test (q > sum(counts^2)/n) is exact as well.
     """
-    n, k = Xn.shape
-    order = np.argsort(Xn, axis=0, kind="stable")
-    sv = np.take_along_axis(Xn, order, axis=0)
-    sy = yn[order]  # (n, k)
+    sizes = np.fromiter((r.size for r, _ in nodes), np.int64, len(nodes))
+    if len(nodes) > 1 and sizes.sum() * len(nodes[0][1]) * n_classes > BLOCK_PAIRS:
+        half = len(nodes) // 2
+        return (_search_nodes(X, y_idx, n_classes, nodes[:half], min_samples_leaf)
+                + _search_nodes(X, y_idx, n_classes, nodes[half:], min_samples_leaf))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    seg = np.repeat(np.arange(len(nodes)), sizes)  # each row's node
+    # int32 row indices halve what the trees' stacks of child rows hold
+    rows = np.concatenate([r for r, _ in nodes], dtype=np.int32)
+    feats = np.array([f for _, f in nodes])
+    sv = X[rows[:, None], feats[seg]]
+    # sort by value, then stably by node: each node's rows in stable value order
+    order = np.argsort(sv, axis=0, kind="stable")
+    order = np.take_along_axis(order, np.argsort(seg[order], axis=0, kind="stable"), axis=0)
+    sv = np.take_along_axis(sv, order, axis=0)
+    srows = rows[order]
+    del order
+    # running class counts, (N, k, C), less those of the rows ahead of the node
+    left = np.cumsum(y_idx[srows][:, :, None] == np.arange(n_classes), axis=0,
+                     dtype=np.int64)
+    at_end = left[ends - 1]
+    total = np.diff(at_end, axis=0, prepend=0)  # each node's class counts, per column
+    left -= (at_end - total)[seg]
+    right = total[seg]
+    right -= left
+    L2 = np.einsum("nkc,nkc->nk", left, left)
+    R2 = np.einsum("nkc,nkc->nk", right, right)
 
-    onehot = sy[:, :, None] == np.arange(n_classes)[None, None, :]
-    cum = np.cumsum(onehot, axis=0, dtype=np.int64)  # (n, k, C)
-    left = cum[:-1]
-    right = cum[-1][None, :, :] - left
-    L2 = np.einsum("bkc,bkc->bk", left, left)
-    R2 = np.einsum("bkc,bkc->bk", right, right)
-
-    n_l = np.arange(1, n, dtype=np.int64)[:, None]
-    n_r = np.int64(n) - n_l
-    valid = sv[:-1] < sv[1:]
-    if min_samples_leaf > 1:
-        valid &= (n_l >= min_samples_leaf) & (n_r >= min_samples_leaf)
-    if not valid.any():
-        return None
-
-    q = L2 / n_l + R2 / n_r
+    n_l = np.arange(1, rows.size + 1) - starts[seg]
+    n_r = sizes[seg] - n_l  # 0 at a node's last row, which bounds no split
+    valid = np.zeros(sv.shape, dtype=bool)
+    valid[:-1] = sv[:-1] < sv[1:]
+    valid &= ((n_l >= min_samples_leaf) & (n_r >= max(min_samples_leaf, 1)))[:, None]
+    q = L2 / n_l[:, None] + R2 / np.maximum(n_r, 1)[:, None]
     q[~valid] = -np.inf
-    qmax = q.max()
-    # Within 1e-12 relative of the float max; actual float error is ~1e-15,
-    # so the set is tiny and always contains the exact maximum.
-    near = np.argwhere(q >= qmax * (1.0 - 1e-12))
-    # Lexicographic candidate order: lowest feature column, lowest threshold.
-    near = near[np.lexsort((near[:, 0], near[:, 1]))]
+    qmax = np.maximum.reduceat(q.max(axis=1, initial=-np.inf), starts)
+    # Within 1e-12 relative of the node's float max; actual float error is
+    # ~1e-15, so the set is tiny and always contains the exact maximum.  The
+    # transpose lists candidates by lowest column, then lowest threshold.
+    near_j, near_p = np.nonzero((valid & (q >= qmax[seg, None] * (1.0 - 1e-12))).T)
 
-    best = None  # (numerator, denominator, col, boundary)
-    for b, j in near:
-        b, j = int(b), int(j)
-        nl, nr = b + 1, n - b - 1
-        num = int(L2[b, j]) * nr + int(R2[b, j]) * nl  # q * nl * nr, exact
-        den = nl * nr
-        if best is None or num * best[1] > best[0] * den:
-            best = (num, den, j, b)
+    best = {}  # node -> (numerator, denominator, row, col)
+    for m, p, j, l2, r2, nl, nr in zip(
+        seg[near_p].tolist(), near_p.tolist(), near_j.tolist(),
+        L2[near_p, near_j].tolist(), R2[near_p, near_j].tolist(),
+        n_l[near_p].tolist(), n_r[near_p].tolist(),
+    ):
+        num, den = l2 * nr + r2 * nl, nl * nr  # q * nl * nr, exact
+        if m not in best or num * best[m][1] > best[m][0] * den:
+            best[m] = (num, den, p, j)
 
-    num, den, j, b = best
-    node_sq = int(np.einsum("c,c->", cum[-1][j], cum[-1][j]))
-    if num * n <= den * node_sq:  # no candidate strictly reduces impurity
-        return None
-    return j, b, sv[:, j]
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    thr = (lo + hi) / 2.0
-    # Guard against the midpoint rounding up onto the right-hand value, which
-    # would silently move the right run into the left child.
-    if thr >= hi:
-        thr = lo
-    return thr
+    found = [None] * len(nodes)
+    for m, (num, den, p, j) in best.items():
+        if num * int(sizes[m]) <= den * int(total[m, j] @ total[m, j]):
+            continue  # no candidate strictly reduces impurity
+        lo, hi = float(sv[p, j]), float(sv[p + 1, j])
+        # Guard against the midpoint rounding up onto the right-hand value,
+        # which would silently move the right run into the left child.
+        threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
+        found[m] = (int(feats[m, j]), threshold,
+                    (srows[starts[m]:p + 1, j].copy(), left[p, j].tolist()),
+                    (srows[p + 1:ends[m], j].copy(), right[p, j].tolist()))
+    return found
 
 
 def best_split(X, y, candidate_features, *, n_classes: int | None = None,
@@ -122,19 +137,13 @@ def best_split(X, y, candidate_features, *, n_classes: int | None = None,
     feats = np.sort(np.asarray(list(candidate_features), dtype=np.int64))
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    found = _search_split(X[:, feats], y, n_classes, min_samples_leaf)
+    found = _search_nodes(X, y, n_classes, [(np.arange(y.size), feats)], min_samples_leaf)[0]
     if found is None:
         return None
-    j, b, sv = found
-    threshold = _midpoint(float(sv[b]), float(sv[b + 1]))
-    counts = np.bincount(y, minlength=n_classes)
-    n = len(y)
-    mask = X[:, feats[j]] <= threshold
-    left_counts = np.bincount(y[mask], minlength=n_classes)
-    right_counts = counts - left_counts
-    nl, nr = int(mask.sum()), n - int(mask.sum())
-    weighted = (nl * gini_impurity(left_counts) + nr * gini_impurity(right_counts)) / n
-    return int(feats[j]), threshold, gini_impurity(counts) - weighted
+    feature, threshold, (_, left_counts), (_, right_counts) = found
+    nl, nr = sum(left_counts), sum(right_counts)
+    weighted = (nl * gini_impurity(left_counts) + nr * gini_impurity(right_counts)) / y.size
+    return feature, threshold, gini_impurity(np.add(left_counts, right_counts)) - weighted
 
 
 def descend(nodes, X: np.ndarray) -> np.ndarray:
@@ -337,73 +346,85 @@ class TreeStack:
 
 
 def tree_params(est) -> dict:
-    """The tree-shape hyperparameters of ``est``, as ``grow_tree`` keywords."""
+    """The tree-shape hyperparameters of ``est``, as ``grow_trees`` keywords."""
     names = ("max_depth", "min_samples_split", "min_samples_leaf", "max_features")
     return {name: getattr(est, name) for name in names}
 
 
-def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
-              max_depth: int | None = None, min_samples_split: int = 2,
-              min_samples_leaf: int = 1, max_features=None,
-              feature_rng: np.random.Generator | None = None) -> TreeModel:
-    """Grow a tree by greedy splitting, depth first, left subtree first.
+def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
+               feature_rngs: list, *, max_depth: int | None = None,
+               min_samples_split: int = 2, min_samples_leaf: int = 1,
+               max_features=None) -> list:
+    """Grow tree t on rows ``samples[t]`` of X by greedy splitting, depth
+    first, left subtree first.
 
     At each node the candidate features are a uniform sample without
-    replacement from the node's feature-sampling stream (all features when the
-    sample size equals the total), drawn in that visiting order.  A node
-    becomes a leaf at ``max_depth``, when pure, or when no admissible split
-    reduces impurity.
+    replacement from ``feature_rngs[t]`` (all features when the sample size
+    equals the total), drawn in that visiting order.  A node becomes a leaf at
+    ``max_depth``, when pure, or when no admissible split reduces impurity.
+    The trees grow in lockstep: each step searches every unfinished tree's
+    next node in one ``_search_nodes`` call, and no tree sees another's nodes.
     """
     n_features = X.shape[1]
     k = resolve_feature_count(max_features, n_features)
-    all_feats = np.arange(n_features, dtype=np.int64)
-
-    def find_split(rows: np.ndarray, node_counts: np.ndarray, level: int):
-        """The node's ``(feature, threshold)``, or None to make it a leaf."""
-        if (
-            (max_depth is not None and level >= max_depth)
-            or rows.size < min_samples_split
-            or int((node_counts > 0).sum()) <= 1
-        ):
-            return None
-        if k < n_features:
-            feats = np.sort(feature_rng.choice(n_features, size=k, replace=False))
-        else:
-            feats = all_feats
-        found = _search_split(
-            X[np.ix_(rows, feats)], y_idx[rows], n_classes, min_samples_leaf
-        )
-        if found is None:
-            return None
-        j, b, sv = found
-        return int(feats[j]), _midpoint(float(sv[b]), float(sv[b + 1]))
-
-    if k < n_features and feature_rng is None:
+    if k < n_features and any(rng is None for rng in feature_rngs):
         raise InfbenchError("feature subsampling requires a feature_rng")
-    nodes, counts = [], []  # preorder (feature, threshold, left, right); counts
+    all_feats = np.arange(n_features, dtype=np.int64)
     zeros = [0] * n_classes
-    depth = 0
-    # (rows, node depth, index of the split whose right child it is, or None)
-    stack = [(np.arange(X.shape[0]), 0, None)]
-    while stack:
-        rows, level, parent = stack.pop()
-        i = len(nodes)
-        if parent is not None:
-            nodes[parent][3] = i
-        node_counts = np.bincount(y_idx[rows], minlength=n_classes)
-        split = find_split(rows, node_counts, level)
-        if split is None:
-            nodes.append((0, 0.0, i, i))
-            counts.extend(node_counts.tolist())
-            depth = max(depth, level)
-            continue
-        feature, threshold = split
-        mask = X[rows, feature] <= threshold
-        nodes.append([feature, threshold, i + 1, None])
-        counts.extend(zeros)
-        stack.append((rows[~mask], level + 1, i))
-        stack.append((rows[mask], level + 1, None))
-    return TreeModel(nodes, counts, depth, n_classes, n_features)
+
+    def grow(rows: np.ndarray, feature_rng):
+        """One tree: yields each node to search and is sent its split, or None."""
+        nodes, counts = [], []  # preorder (feature, threshold, left, right); counts
+        depth = 0
+        # (rows, class counts, node depth, index of the split whose right child it is)
+        stack = [(rows, np.bincount(y_idx[rows], minlength=n_classes).tolist(), 0, None)]
+        while stack:
+            rows, node_counts, level, parent = stack.pop()
+            i = len(nodes)
+            if parent is not None:
+                nodes[parent][3] = i
+            split = None
+            if ((max_depth is None or level < max_depth)
+                    and rows.size >= min_samples_split
+                    and sum(c > 0 for c in node_counts) > 1):
+                if k < n_features:
+                    feats = np.sort(feature_rng.choice(n_features, size=k, replace=False))
+                else:
+                    feats = all_feats
+                split = yield rows, feats
+            if split is None:
+                nodes.append((0, 0.0, i, i))
+                counts.extend(node_counts)
+                depth = max(depth, level)
+                continue
+            feature, threshold, left, right = split
+            nodes.append([feature, threshold, i + 1, None])
+            counts.extend(zeros)
+            stack.append((*right, level + 1, i))
+            stack.append((*left, level + 1, None))
+        return TreeModel(nodes, counts, depth, n_classes, n_features)
+
+    growths = [grow(rows, rng) for rows, rng in zip(samples, feature_rngs)]
+    trees = [None] * len(growths)
+    sent = dict.fromkeys(range(len(growths)))  # tree -> what its growth is sent next
+    while True:
+        waiting = {}  # tree -> the node it waits to have searched
+        for t, split in sent.items():
+            try:
+                waiting[t] = growths[t].send(split)
+            except StopIteration as done:
+                trees[t] = done.value
+        if not waiting:
+            return trees
+        found = _search_nodes(X, y_idx, n_classes, list(waiting.values()), min_samples_leaf)
+        sent = dict(zip(waiting, found))
+
+
+def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
+              feature_rng: np.random.Generator | None = None, **params) -> TreeModel:
+    """One tree on every row of X: ``grow_trees`` of a single sample."""
+    return grow_trees(X, y_idx, n_classes, [np.arange(X.shape[0])], [feature_rng],
+                      **params)[0]
 
 
 class DecisionTree(Estimator):

@@ -68,9 +68,10 @@ class DirectionalForest(Estimator):
         A, y_idx, classes = check_fit_inputs(X, y)
         self.directions_ = feature_directions(A, y_idx, classes.size)
         base = resolve_seed(self.seed)
+        every_row = np.arange(A.shape[0])
         self.trees_ = grow_forest(
             self, A * self.directions_, y_idx, classes.size,
-            lambda i: (slice(None), derive_seed(base, i)),
+            lambda i: (every_row, derive_seed(base, i)),
         )
         self.stack_ = TreeStack(self.trees_)
         self.n_features_ = A.shape[1]

@@ -353,6 +353,10 @@ MALFORMED_ARTIFACTS = [
     pytest.param("logistic_regression",
                  lambda d: _state(d)["scale"].__setitem__(0, float("inf")),
                  "scale", id="infinite_scale"),
+    pytest.param("logistic_regression", lambda d: _state(d)["mean"].pop(),
+                 "shapes", id="mean_one_short"),
+    pytest.param("logistic_regression", lambda d: _state(d)["intercept"].append(0.5),
+                 "shapes", id="intercept_one_long"),
 ]
 
 

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from infbench.baselearners import DecisionTree, RandomForest, plurality_vote
 from infbench.baselearners import tree as tree_module
-from infbench.baselearners.tree import TreeModel
+from infbench.baselearners.tree import TreeModel, grow_tree, tree_params
 from infbench.core import derive_seed
 from infbench.directional import DirectionalForest
 from infbench.errors import DimensionMismatch, NotFitted
@@ -203,3 +204,60 @@ def test_tree_dict_round_trip_keeps_every_node_array(case):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert (back.depth, back.n_classes, back.n_features) == (
             tree.depth, tree.n_classes, tree.n_features)
+
+
+# -- lockstep growth against one tree at a time --------------------------------
+
+def assert_each_tree_is_grown_alone(forest, X, y):
+    """Fit ``forest`` and check every tree against ``grow_tree`` run by itself
+    on that tree's rows and feature seed, with RuntimeWarnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        forest.fit(X, y)
+        y_idx, n = forest.classes_.encode(y), X.shape[0]
+        for i, tree in enumerate(forest.trees_):
+            if isinstance(forest, RandomForest):
+                tree_seed = derive_seed(forest.seed, i)
+                rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
+                A, y_rows, feature_seed = X[rows], y_idx[rows], derive_seed(tree_seed, 1)
+            else:
+                A, y_rows = X * forest.directions_, y_idx
+                feature_seed = derive_seed(forest.seed, i)
+            alone = grow_tree(A, y_rows, forest.classes_.size,
+                              feature_rng=np.random.default_rng(feature_seed),
+                              **tree_params(forest))
+            for name in ("feature", "threshold", "left", "right", "counts"):
+                a, b = getattr(tree, name), getattr(alone, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)
+            assert tree.depth == alone.depth
+
+
+@given(forest_data(), st.integers(1, 3), st.sampled_from([None, "sqrt", 1]))
+@settings(max_examples=40, deadline=None)
+def test_each_tree_is_the_tree_grown_alone(case, min_samples_leaf, max_features):
+    X, y, params = case
+    params.update(min_samples_leaf=min_samples_leaf, max_features=max_features)
+    for cls in (RandomForest, DirectionalForest):
+        assert_each_tree_is_grown_alone(cls(**params), X, y)
+
+
+def test_small_search_blocks_grow_the_same_trees(monkeypatch):
+    X, y = make_blobs(n_per_class=25, centers=((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+                      spread=0.6, seed=3)
+    X = np.round(X, 1)  # duplicate values and exact ties
+    calls = []  # (nodes, rows) of each search
+    search = tree_module._search_nodes
+
+    def spy(X, y_idx, n_classes, nodes, min_samples_leaf):
+        calls.append((len(nodes), sum(rows.size for rows, _ in nodes)))
+        return search(X, y_idx, n_classes, nodes, min_samples_leaf)
+
+    monkeypatch.setattr(tree_module, "_search_nodes", spy)
+    monkeypatch.setattr(tree_module, "BLOCK_PAIRS", 60)
+    for cls in (RandomForest, DirectionalForest):
+        forest = cls(n_estimators=8, min_samples_leaf=2, max_features=1, seed=11)
+        assert_each_tree_is_grown_alone(forest, X, y)
+    # 60 // (1 candidate * 3 classes) = 20 rows: a step's nodes are searched in
+    # halves until a block holds at most 20 rows or a single node
+    assert any(n > 1 and rows > 20 for n, rows in calls)
+    assert any(n > 1 and rows <= 20 for n, rows in calls)

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..core import Estimator, check_fit_inputs, derive_seed, resolve_seed, rng_from
 from .tree import (TreeStack, descend_blocks, grow_trees, tree_params,
-                   trees_from_dicts, trees_to_dicts)
+                   trees_from_dicts, trees_to_dicts, whole_sample)
 
 
 def plurality_vote(votes: np.ndarray) -> np.ndarray:
@@ -27,12 +27,13 @@ def grow_forest(est, X: np.ndarray, y_idx: np.ndarray, n_classes: int,
                 sample) -> list:
     """Grow ``est.n_estimators`` trees with ``est``'s tree hyperparameters.
 
-    ``sample(i)`` returns tree i's ``(rows, feature_seed)``: the indices of
-    the rows of X the tree trains on, and the seed of its per-node
-    feature-sampling stream.
+    ``sample(i)`` returns tree i's ``(sample, feature_seed)``: the distinct
+    rows of X the tree trains on over how many times each is drawn, as
+    ``grow_trees`` takes them, and the seed of its per-node feature-sampling
+    stream.
     """
-    rows, seeds = zip(*(sample(i) for i in range(est.n_estimators)))
-    return grow_trees(X, y_idx, n_classes, rows, [rng_from(seed) for seed in seeds],
+    samples, seeds = zip(*(sample(i) for i in range(est.n_estimators)))
+    return grow_trees(X, y_idx, n_classes, samples, [rng_from(seed) for seed in seeds],
                       **tree_params(est))
 
 
@@ -62,15 +63,15 @@ class RandomForest(Estimator):
         A, y_idx, classes = check_fit_inputs(X, y)
         base = resolve_seed(self.seed)
         n = A.shape[0]
-        every_row = np.arange(n)
+        every_row = whole_sample(n)
 
         def sample(i):
             tree_seed = derive_seed(base, i)
-            if self.bootstrap:
-                rows = rng_from(tree_seed).integers(0, n, size=n)
-            else:
-                rows = every_row
-            return rows, derive_seed(tree_seed, 1)
+            if not self.bootstrap:
+                return every_row, derive_seed(tree_seed, 1)
+            drawn = np.bincount(rng_from(tree_seed).integers(0, n, size=n), minlength=n)
+            rows = np.flatnonzero(drawn)
+            return np.stack([rows, drawn[rows]]).astype(np.int32), derive_seed(tree_seed, 1)
 
         self.trees_ = grow_forest(self, A, y_idx, classes.size, sample)
         self.stack_ = TreeStack(self.trees_)

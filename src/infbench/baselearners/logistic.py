@@ -18,20 +18,35 @@ from ..core import Estimator, check_fit_inputs, finite_floats
 from ..errors import ConvergenceWarning
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for overflow safety."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, shifted by the row max for overflow safety, written
+    to ``out`` when given (which may be ``scores`` itself)."""
+    out = np.subtract(scores, scores.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
-def gradient(P: np.ndarray, W: np.ndarray, X: np.ndarray, y_idx: np.ndarray,
+def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n, n_classes) float matrix with a 1.0 in each row's class column."""
+    Y = np.zeros((y_idx.size, n_classes))
+    Y[np.arange(y_idx.size), y_idx] = 1.0
+    return Y
+
+
+def gradient(P: np.ndarray, W: np.ndarray, X: np.ndarray, Y: np.ndarray,
              l2: float):
     """Gradients w.r.t. W and b of ``loss_and_gradient``'s loss, given the
-    softmax probabilities ``P``, which it overwrites."""
+    softmax probabilities ``P``, which it overwrites, and the one-hot targets
+    ``Y``.  Subtracting Y's zeros leaves the other entries' bits as they are."""
     n = X.shape[0]
-    P[np.arange(n), y_idx] -= 1.0
-    return X.T @ P / n + l2 * W, P.sum(axis=0) / n
+    P -= Y
+    grad_W = X.T @ P
+    grad_W /= n
+    grad_W += l2 * W
+    grad_b = P.sum(axis=0)
+    grad_b /= n
+    return grad_W, grad_b
 
 
 def loss_and_gradient(W: np.ndarray, b: np.ndarray, X: np.ndarray,
@@ -46,7 +61,7 @@ def loss_and_gradient(W: np.ndarray, b: np.ndarray, X: np.ndarray,
     # clip keeps log finite; at float64 P only underflows for margins ~>700
     loss = -np.mean(np.log(np.clip(correct, 1e-300, None)))
     loss += 0.5 * l2 * float(np.sum(W * W))
-    return (loss, *gradient(P, W, X, y_idx, l2))
+    return (loss, *gradient(P, W, X, one_hot(y_idx, W.shape[1]), l2))
 
 
 class LogisticRegression(Estimator):
@@ -72,15 +87,21 @@ class LogisticRegression(Estimator):
         d, C = A.shape[1], classes.size
         W = np.zeros((d, C), dtype=np.float64)
         b = np.zeros(C, dtype=np.float64)
+        Y = one_hot(y_idx, C)
+        P = np.empty((A.shape[0], C))  # scores, then probabilities
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            grad_W, grad_b = gradient(softmax(Z @ W + b), W, Z, y_idx, self.l2)
+            np.matmul(Z, W, out=P)
+            P += b
+            grad_W, grad_b = gradient(softmax(P, out=P), W, Z, Y, self.l2)
             gmax = max(np.abs(grad_W).max(), np.abs(grad_b).max())
             if gmax < self.tol:
                 n_iter -= 1
                 break
-            W -= self.lr * grad_W
-            b -= self.lr * grad_b
+            grad_W *= self.lr
+            W -= grad_W
+            grad_b *= self.lr
+            b -= grad_b
         else:
             # one fixed message, so the default filter shows it once per process
             warnings.warn("logistic regression stopped at max_iter before its "

@@ -42,85 +42,118 @@ def resolve_feature_count(max_features, n_features: int) -> int:
     return k
 
 
-def _search_nodes(X, y_idx, n_classes: int, nodes: list, min_samples_leaf: int) -> list:
+def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf: int) -> list:
     """Best split of each of ``nodes``, scored together in one segmented search.
 
-    A node is ``(rows, feats)``: its row indices into X and y_idx, and its
-    ascending candidate columns, as many for every node.  Returns, per node,
-    None or ``(feature, threshold, left, right)``, each child as ``(rows,
-    class_counts)``.  Nodes holding more than ``BLOCK_PAIRS`` (row, candidate,
-    class) triples between them are searched in halves, to bound memory.
+    A node is ``(sample, feats)``: its sample as ``grow_trees`` takes it, and
+    its ascending candidate columns, as many for every node.  ``ranks[f, r]``
+    is the dense rank of ``X[r, f]`` among column f's distinct values.
+    Returns, per node, None or ``(feature, threshold, left, right)``, each
+    child as ``(sample, class_counts)``.  Nodes holding more than
+    ``BLOCK_PAIRS`` (distinct row, candidate, class) triples between them are
+    searched in halves, to bound memory.
 
     Minimizing weighted child Gini is equivalent to maximizing
     q = sum(left_counts^2)/n_l + sum(right_counts^2)/n_r, a ratio of small
-    integers.  Floats pre-select near-maximal candidates, then exact integer
-    cross-multiplication picks the true maximum and applies tie-breaking, and
-    the positive-gain test (q > sum(counts^2)/n) is exact as well.
+    integers, where counts and sizes add up multiplicities.  q is scored only
+    at the boundaries between a node's distinct values of a column, the only
+    places a threshold can split.  Floats pre-select near-maximal candidates,
+    then exact integer cross-multiplication picks the true maximum and
+    applies tie-breaking, and the positive-gain test (q > sum(counts^2)/n) is
+    exact as well.
     """
-    sizes = np.fromiter((r.size for r, _ in nodes), np.int64, len(nodes))
+    sizes = np.fromiter((s.shape[1] for s, _ in nodes), np.int64, len(nodes))
     if len(nodes) > 1 and sizes.sum() * len(nodes[0][1]) * n_classes > BLOCK_PAIRS:
         half = len(nodes) // 2
-        return (_search_nodes(X, y_idx, n_classes, nodes[:half], min_samples_leaf)
-                + _search_nodes(X, y_idx, n_classes, nodes[half:], min_samples_leaf))
+        return (_search_nodes(X, ranks, y_idx, n_classes, nodes[:half], min_samples_leaf)
+                + _search_nodes(X, ranks, y_idx, n_classes, nodes[half:], min_samples_leaf))
+    n = int(sizes.sum())
     ends = np.cumsum(sizes)
     starts = ends - sizes
     seg = np.repeat(np.arange(len(nodes)), sizes)  # each row's node
-    # int32 row indices halve what the trees' stacks of child rows hold
-    rows = np.concatenate([r for r, _ in nodes], dtype=np.int32)
+    sample = np.concatenate([s for s, _ in nodes], axis=1)
+    rows, mult = sample
     feats = np.array([f for _, f in nodes])
-    sv = X[rows[:, None], feats[seg]]
-    # sort by value, then stably by node: each node's rows in stable value order
-    order = np.argsort(sv, axis=0, kind="stable")
-    order = np.take_along_axis(order, np.argsort(seg[order], axis=0, kind="stable"), axis=0)
-    sv = np.take_along_axis(sv, order, axis=0)
-    srows = rows[order]
-    del order
-    # running class counts, (N, k, C), less those of the rows ahead of the node
-    left = np.cumsum(y_idx[srows][:, :, None] == np.arange(n_classes), axis=0,
-                     dtype=np.int64)
-    at_end = left[ends - 1]
-    total = np.diff(at_end, axis=0, prepend=0)  # each node's class counts, per column
-    left -= (at_end - total)[seg]
-    right = total[seg]
-    right -= left
-    L2 = np.einsum("nkc,nkc->nk", left, left)
-    R2 = np.einsum("nkc,nkc->nk", right, right)
-
-    n_l = np.arange(1, rows.size + 1) - starts[seg]
-    n_r = sizes[seg] - n_l  # 0 at a node's last row, which bounds no split
-    valid = np.zeros(sv.shape, dtype=bool)
-    valid[:-1] = sv[:-1] < sv[1:]
-    valid &= ((n_l >= min_samples_leaf) & (n_r >= max(min_samples_leaf, 1)))[:, None]
-    q = L2 / n_l[:, None] + R2 / np.maximum(n_r, 1)[:, None]
-    q[~valid] = -np.inf
-    qmax = np.maximum.reduceat(q.max(axis=1, initial=-np.inf), starts)
+    # each row's class counts: its multiplicity, in its class's column
+    counts = np.zeros((n, n_classes), dtype=np.int64)
+    counts[np.arange(n), y_idx[rows]] = mult
+    total = np.add.reduceat(counts, starts)  # each node's class counts
+    # One int64 key per (candidate, row): node, then value rank, then the
+    # row's position in its low bits, which the sort carries along.  The key
+    # stays below len(nodes) * X.shape[0] * 2n, within int64 for any X whose
+    # row indices fit in int32.
+    shift = n.bit_length()
+    at = np.repeat(feats.T * X.shape[0], sizes, axis=1)
+    at += rows
+    key = ranks.ravel()[at]
+    key += seg * X.shape[0]
+    key <<= shift
+    key |= np.arange(n)
+    key.sort(axis=1)
+    pos = key & ((1 << shift) - 1)
+    key >>= shift
+    # boundaries between distinct values inside a node, listed by column,
+    # then by position: the order of the tie-break
+    cut = key[:, 1:] != key[:, :-1]
+    cut[:, ends[:-1] - 1] = False
+    bj, bp = np.nonzero(cut)
+    del key, cut
+    m = seg[bp]
+    # running class counts of each candidate's sorted rows, (n, k, C), read
+    # at the boundaries, less those of the nodes ahead
+    running = np.take(counts, pos.T, axis=0)
+    np.cumsum(running, axis=0, out=running)
+    left = np.take(running.reshape(-1, n_classes), bp * feats.shape[1] + bj, axis=0)
+    left -= (np.cumsum(total, axis=0) - total)[m]
+    right = total[m] - left
+    n_l = left.sum(axis=1)
+    n_r = total.sum(axis=1)[m] - n_l
+    ok = (n_l >= min_samples_leaf) & (n_r >= min_samples_leaf)
+    L2 = np.einsum("bc,bc->b", left, left)
+    R2 = np.einsum("bc,bc->b", right, right)
+    q = np.where(ok, L2 / n_l + R2 / n_r, -np.inf)
+    qmax = np.full(len(nodes), -np.inf)
+    np.maximum.at(qmax, m, q)
     # Within 1e-12 relative of the node's float max; actual float error is
-    # ~1e-15, so the set is tiny and always contains the exact maximum.  The
-    # transpose lists candidates by lowest column, then lowest threshold.
-    near_j, near_p = np.nonzero((valid & (q >= qmax[seg, None] * (1.0 - 1e-12))).T)
+    # ~1e-15, so the set is tiny and always contains the exact maximum.
+    near = np.flatnonzero(ok & (q >= qmax[m] * (1.0 - 1e-12)))
 
-    best = {}  # node -> (numerator, denominator, row, col)
-    for m, p, j, l2, r2, nl, nr in zip(
-        seg[near_p].tolist(), near_p.tolist(), near_j.tolist(),
-        L2[near_p, near_j].tolist(), R2[near_p, near_j].tolist(),
-        n_l[near_p].tolist(), n_r[near_p].tolist(),
-    ):
+    best = {}  # node -> (numerator, denominator, boundary)
+    for b, mb, l2, r2, nl, nr in zip(near.tolist(), m[near].tolist(), L2[near].tolist(),
+                                     R2[near].tolist(), n_l[near].tolist(),
+                                     n_r[near].tolist()):
         num, den = l2 * nr + r2 * nl, nl * nr  # q * nl * nr, exact
-        if m not in best or num * best[m][1] > best[m][0] * den:
-            best[m] = (num, den, p, j)
+        if mb not in best or num * best[mb][1] > best[mb][0] * den:
+            best[mb] = (num, den, b)
 
     found = [None] * len(nodes)
-    for m, (num, den, p, j) in best.items():
-        if num * int(sizes[m]) <= den * int(total[m, j] @ total[m, j]):
+    for mb, (num, den, b) in best.items():
+        node_total = total[mb].tolist()
+        if num * sum(node_total) <= den * sum(c * c for c in node_total):
             continue  # no candidate strictly reduces impurity
-        lo, hi = float(sv[p, j]), float(sv[p + 1, j])
+        j, p = int(bj[b]), int(bp[b])
+        feature = int(feats[mb, j])
+        lo, hi = float(X[rows[pos[j, p]], feature]), float(X[rows[pos[j, p + 1]], feature])
         # Guard against the midpoint rounding up onto the right-hand value,
         # which would silently move the right run into the left child.
         threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
-        found[m] = (int(feats[m, j]), threshold,
-                    (srows[starts[m]:p + 1, j].copy(), left[p, j].tolist()),
-                    (srows[p + 1:ends[m], j].copy(), right[p, j].tolist()))
+        at_left, at_right = pos[j, starts[mb]:p + 1], pos[j, p + 1:ends[mb]]
+        found[mb] = (feature, threshold,
+                     (sample[:, at_left], left[b].tolist()),
+                     (sample[:, at_right], right[b].tolist()))
     return found
+
+
+def whole_sample(n_rows: int) -> np.ndarray:
+    """The sample of every row drawn once, as ``grow_trees`` takes it."""
+    return np.stack([np.arange(n_rows, dtype=np.int32), np.ones(n_rows, np.int32)])
+
+
+def column_ranks(X: np.ndarray) -> np.ndarray:
+    """Dense rank of each value of X among its column's distinct values,
+    shape (features, rows): equal values share a rank, and ranks follow the
+    values' order."""
+    return np.array([np.unique(column, return_inverse=True)[1] for column in X.T])
 
 
 def best_split(X, y, candidate_features, *, n_classes: int | None = None,
@@ -137,7 +170,8 @@ def best_split(X, y, candidate_features, *, n_classes: int | None = None,
     feats = np.sort(np.asarray(list(candidate_features), dtype=np.int64))
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    found = _search_nodes(X, y, n_classes, [(np.arange(y.size), feats)], min_samples_leaf)[0]
+    found = _search_nodes(X, column_ranks(X), y, n_classes,
+                          [(whole_sample(y.size), feats)], min_samples_leaf)[0]
     if found is None:
         return None
     feature, threshold, (_, left_counts), (_, right_counts) = found
@@ -169,8 +203,9 @@ def descend(nodes, X: np.ndarray) -> np.ndarray:
     return node
 
 
-# (tree, row) pairs per block of ``descend_blocks``: its working arrays stay
-# within a few hundred kilobytes each, whatever the batch size.
+# (tree, row) pairs per block of ``descend_blocks``, and (distinct row,
+# candidate, class) triples per block of ``_search_nodes``: their working
+# arrays stay within a few hundred kilobytes each, whatever the input size.
 BLOCK_PAIRS = 1 << 15
 
 
@@ -355,8 +390,13 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
                feature_rngs: list, *, max_depth: int | None = None,
                min_samples_split: int = 2, min_samples_leaf: int = 1,
                max_features=None) -> list:
-    """Grow tree t on rows ``samples[t]`` of X by greedy splitting, depth
+    """Grow tree t on sample ``samples[t]`` of X by greedy splitting, depth
     first, left subtree first.
+
+    A sample is a (2, d) int32 array: d distinct row indices of X over how
+    many times each is drawn.  The tree is the one grown on the materialized
+    copy ``X[np.repeat(*sample)]``: node sizes, class counts and the split
+    criteria all add up multiplicities.
 
     At each node the candidate features are a uniform sample without
     replacement from ``feature_rngs[t]`` (all features when the sample size
@@ -371,27 +411,30 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
         raise InfbenchError("feature subsampling requires a feature_rng")
     all_feats = np.arange(n_features, dtype=np.int64)
     zeros = [0] * n_classes
+    ranks = column_ranks(X)
 
-    def grow(rows: np.ndarray, feature_rng):
+    def grow(sample, feature_rng):
         """One tree: yields each node to search and is sent its split, or None."""
         nodes, counts = [], []  # preorder (feature, threshold, left, right); counts
         depth = 0
-        # (rows, class counts, node depth, index of the split whose right child it is)
-        stack = [(rows, np.bincount(y_idx[rows], minlength=n_classes).tolist(), 0, None)]
+        # (sample, class counts, node depth, index of the split whose right
+        # child it is)
+        root_counts = np.bincount(y_idx[sample[0]], weights=sample[1], minlength=n_classes)
+        stack = [(sample, root_counts.astype(np.int64).tolist(), 0, None)]
         while stack:
-            rows, node_counts, level, parent = stack.pop()
+            sample, node_counts, level, parent = stack.pop()
             i = len(nodes)
             if parent is not None:
                 nodes[parent][3] = i
             split = None
             if ((max_depth is None or level < max_depth)
-                    and rows.size >= min_samples_split
+                    and sum(node_counts) >= min_samples_split
                     and sum(c > 0 for c in node_counts) > 1):
                 if k < n_features:
                     feats = np.sort(feature_rng.choice(n_features, size=k, replace=False))
                 else:
                     feats = all_feats
-                split = yield rows, feats
+                split = yield sample, feats
             if split is None:
                 nodes.append((0, 0.0, i, i))
                 counts.extend(node_counts)
@@ -404,7 +447,7 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
             stack.append((*left, level + 1, None))
         return TreeModel(nodes, counts, depth, n_classes, n_features)
 
-    growths = [grow(rows, rng) for rows, rng in zip(samples, feature_rngs)]
+    growths = [grow(sample, rng) for sample, rng in zip(samples, feature_rngs)]
     trees = [None] * len(growths)
     sent = dict.fromkeys(range(len(growths)))  # tree -> what its growth is sent next
     while True:
@@ -416,14 +459,15 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
                 trees[t] = done.value
         if not waiting:
             return trees
-        found = _search_nodes(X, y_idx, n_classes, list(waiting.values()), min_samples_leaf)
+        found = _search_nodes(X, ranks, y_idx, n_classes, list(waiting.values()),
+                              min_samples_leaf)
         sent = dict(zip(waiting, found))
 
 
 def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
               feature_rng: np.random.Generator | None = None, **params) -> TreeModel:
     """One tree on every row of X: ``grow_trees`` of a single sample."""
-    return grow_trees(X, y_idx, n_classes, [np.arange(X.shape[0])], [feature_rng],
+    return grow_trees(X, y_idx, n_classes, [whole_sample(X.shape[0])], [feature_rng],
                       **params)[0]
 
 

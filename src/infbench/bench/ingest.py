@@ -27,16 +27,33 @@ from ..errors import (
 MISSING_CATEGORY = "__missing__"
 
 
+def _read(path: Path, whole: bool):
+    """The header of the UTF-8 CSV at ``path``, and its rows if ``whole``.
+
+    Raises IngestError when the file is empty, is not UTF-8 text, or its
+    header names a column twice.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            rows = list(reader) if whole else None
+    except UnicodeDecodeError:
+        raise IngestError(f"{path} is not UTF-8 text") from None
+    if header is None:
+        raise IngestError(f"{path} is empty")
+    seen = set()
+    for col in header:
+        if col in seen:
+            raise IngestError(f"{path} names column {col!r} more than once")
+        seen.add(col)
+    return header, rows
+
+
 def read_csv(path):
     """Read a header-bearing CSV, returning (header, rows of str cells)."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path} is empty") from None
-        rows = [row for row in reader]
+    header, rows = _read(path, whole=True)
     if not rows:
         raise IngestError(f"{path} has a header but no data rows")
     width = len(header)
@@ -49,12 +66,7 @@ def read_csv(path):
 
 
 def read_header(path) -> list:
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        try:
-            return next(csv.reader(f))
-        except StopIteration:
-            raise IngestError(f"{path} is empty") from None
+    return _read(Path(path), whole=False)[0]
 
 
 def _is_blank(cell: str) -> bool:

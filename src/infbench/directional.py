@@ -22,7 +22,7 @@ from .core import (Estimator, check_fit_inputs, derive_seed, finite_floats,
 from .errors import MissingClass
 from .baselearners.forest import grow_forest, plurality_vote
 from .baselearners.tree import (TreeStack, descend_blocks, trees_from_dicts,
-                                trees_to_dicts)
+                                trees_to_dicts, whole_sample)
 
 
 def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
@@ -68,7 +68,7 @@ class DirectionalForest(Estimator):
         A, y_idx, classes = check_fit_inputs(X, y)
         self.directions_ = feature_directions(A, y_idx, classes.size)
         base = resolve_seed(self.seed)
-        every_row = np.arange(A.shape[0])
+        every_row = whole_sample(A.shape[0])
         self.trees_ = grow_forest(
             self, A * self.directions_, y_idx, classes.size,
             lambda i: (every_row, derive_seed(base, i)),

@@ -290,6 +290,34 @@ def test_predict_rejects_future_format_version(registry, tmp_path):
     assert code == 1
 
 
+BAD_CSVS = [
+    pytest.param(b"\xff\xfef1,f2,label\n1,2,neg\n", "not UTF-8", id="not-utf8"),
+    pytest.param(b"f1,f1,label\n1,80,neg\n7,20,pos\n", "'f1' more than once",
+                 id="duplicate-column"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("content, message", BAD_CSVS)
+def test_unreadable_csv_exits_1_with_one_line(registry, tmp_path, capsys, command,
+                                              content, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    model_path = tmp_path / "model.json"
+    if command == "train":
+        argv = ["train", "--model", "decision_tree", "--data", str(bad),
+                "--target", "label", "--out", str(model_path)]
+    else:
+        main(["train", "--model", "decision_tree", "--data", str(tmp_path / "a.csv"),
+              "--target", "label", "--out", str(model_path)])
+        argv = ["predict", "--model-file", str(model_path), "--data", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(bad) in err[0] and message in err[0]
+
+
 def _state(doc):
     return doc["estimator"]["state"]
 

@@ -232,11 +232,14 @@ def assert_each_tree_is_grown_alone(forest, X, y):
             assert tree.depth == alone.depth
 
 
-@given(forest_data(), st.integers(1, 3), st.sampled_from([None, "sqrt", 1]))
+@given(forest_data(), st.integers(1, 3), st.integers(2, 6),
+       st.sampled_from([None, "sqrt", 1]))
 @settings(max_examples=40, deadline=None)
-def test_each_tree_is_the_tree_grown_alone(case, min_samples_leaf, max_features):
+def test_each_tree_is_the_tree_grown_alone(case, min_samples_leaf, min_samples_split,
+                                           max_features):
     X, y, params = case
-    params.update(min_samples_leaf=min_samples_leaf, max_features=max_features)
+    params.update(min_samples_leaf=min_samples_leaf, min_samples_split=min_samples_split,
+                  max_features=max_features)
     for cls in (RandomForest, DirectionalForest):
         assert_each_tree_is_grown_alone(cls(**params), X, y)
 
@@ -245,19 +248,19 @@ def test_small_search_blocks_grow_the_same_trees(monkeypatch):
     X, y = make_blobs(n_per_class=25, centers=((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
                       spread=0.6, seed=3)
     X = np.round(X, 1)  # duplicate values and exact ties
-    calls = []  # (nodes, rows) of each search
+    calls = []  # (nodes, distinct rows) of each search
     search = tree_module._search_nodes
 
-    def spy(X, y_idx, n_classes, nodes, min_samples_leaf):
-        calls.append((len(nodes), sum(rows.size for rows, _ in nodes)))
-        return search(X, y_idx, n_classes, nodes, min_samples_leaf)
+    def spy(X, ranks, y_idx, n_classes, nodes, min_samples_leaf):
+        calls.append((len(nodes), sum(sample.shape[1] for sample, _ in nodes)))
+        return search(X, ranks, y_idx, n_classes, nodes, min_samples_leaf)
 
     monkeypatch.setattr(tree_module, "_search_nodes", spy)
     monkeypatch.setattr(tree_module, "BLOCK_PAIRS", 60)
     for cls in (RandomForest, DirectionalForest):
         forest = cls(n_estimators=8, min_samples_leaf=2, max_features=1, seed=11)
         assert_each_tree_is_grown_alone(forest, X, y)
-    # 60 // (1 candidate * 3 classes) = 20 rows: a step's nodes are searched in
-    # halves until a block holds at most 20 rows or a single node
+    # 60 // (1 candidate * 3 classes) = 20 distinct rows: a step's nodes are
+    # searched in halves until a block holds at most 20 of them or one node
     assert any(n > 1 and rows > 20 for n, rows in calls)
     assert any(n > 1 and rows <= 20 for n, rows in calls)

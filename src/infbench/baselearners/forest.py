@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Estimator, check_fit_inputs, derive_seed, resolve_seed, rng_from
-from .tree import (TreeStack, descend_blocks, grow_trees, tree_params,
-                   trees_from_dicts, trees_to_dicts, whole_sample)
+from ..core import check_fit_inputs, derive_seed, resolve_seed, rng_from
+from .tree import TreeEnsemble, whole_sample
 
 
 def plurality_vote(votes: np.ndarray) -> np.ndarray:
@@ -23,21 +22,7 @@ def plurality_vote(votes: np.ndarray) -> np.ndarray:
     return np.argmax(tally, axis=1)
 
 
-def grow_forest(est, X: np.ndarray, y_idx: np.ndarray, n_classes: int,
-                sample) -> list:
-    """Grow ``est.n_estimators`` trees with ``est``'s tree hyperparameters.
-
-    ``sample(i)`` returns tree i's ``(sample, feature_seed)``: the distinct
-    rows of X the tree trains on over how many times each is drawn, as
-    ``grow_trees`` takes them, and the seed of its per-node feature-sampling
-    stream.
-    """
-    samples, seeds = zip(*(sample(i) for i in range(est.n_estimators)))
-    return grow_trees(X, y_idx, n_classes, samples, [rng_from(seed) for seed in seeds],
-                      **tree_params(est))
-
-
-class RandomForest(Estimator):
+class RandomForest(TreeEnsemble):
     """Random forest: bootstrap rows per tree, sqrt feature sampling per node.
 
     Tree i draws its bootstrap sample from the stream ``derive_seed(seed, i)``
@@ -63,42 +48,17 @@ class RandomForest(Estimator):
         A, y_idx, classes = check_fit_inputs(X, y)
         base = resolve_seed(self.seed)
         n = A.shape[0]
-        every_row = whole_sample(n)
-
-        def sample(i):
+        samples, seeds = [], []
+        for i in range(self.n_estimators):
             tree_seed = derive_seed(base, i)
-            if not self.bootstrap:
-                return every_row, derive_seed(tree_seed, 1)
-            drawn = np.bincount(rng_from(tree_seed).integers(0, n, size=n), minlength=n)
-            rows = np.flatnonzero(drawn)
-            return np.stack([rows, drawn[rows]]).astype(np.int32), derive_seed(tree_seed, 1)
-
-        self.trees_ = grow_forest(self, A, y_idx, classes.size, sample)
-        self.stack_ = TreeStack(self.trees_)
-        self.n_features_ = A.shape[1]
-        self.classes_ = classes
-        return self
+            if self.bootstrap:
+                drawn = np.bincount(rng_from(tree_seed).integers(0, n, size=n), minlength=n)
+                rows = np.flatnonzero(drawn)
+                samples.append(np.stack([rows, drawn[rows]]).astype(np.int32))
+            else:
+                samples.append(whole_sample(n))
+            seeds.append(derive_seed(tree_seed, 1))
+        return self.grow(A, y_idx, classes, samples, seeds)
 
     def predict_proba(self, X) -> np.ndarray:
-        A = self._check_predict_input(X)
-        total = np.empty((A.shape[0], self.classes_.size))
-        for rows, leaves in descend_blocks(self.stack_, A):
-            # A running sum over the tree axis adds the leaf distributions in
-            # tree order, so the mean is the same float sum tree by tree.
-            total[rows] = np.cumsum(self.stack_.distribution[leaves], axis=0)[-1]
-        return total / len(self.trees_)
-
-    def predict(self, X) -> np.ndarray:
-        proba = self.predict_proba(X)
-        return self.classes_.decode(np.argmax(proba, axis=1).astype(np.int64))
-
-    def get_state(self) -> dict:
-        return {**super().get_state(), "trees": trees_to_dicts(self, self.trees_)}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RandomForest":
-        est = super().from_state(state)
-        est.trees_ = trees_from_dicts(state["trees"], est.classes_.size)
-        est.stack_ = TreeStack(est.trees_)
-        est.n_features_ = est.trees_[0].n_features
-        return est
+        return self.mean_proba(self._check_predict_input(X))

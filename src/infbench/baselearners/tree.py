@@ -318,49 +318,12 @@ class TreeModel:
         return cls(nodes, counts, depth, n_classes, n_features)
 
 
-def trees_to_dicts(est, trees: list) -> list:
-    """``to_dict`` of each of ``est``'s trees, for its artifact state."""
-    deepest = max(t.depth for t in trees)
-    if deepest > MAX_SAVED_DEPTH:
-        raise InfbenchError(
-            f"cannot save {est.kind}: it has a tree of depth {deepest}, and an "
-            f"artifact holds trees of depth {MAX_SAVED_DEPTH} at most"
-        )
-    return [t.to_dict() for t in trees]
-
-
-def trees_from_dicts(dicts: list, n_classes: int, n_features: int | None = None) -> list:
-    """``TreeModel.from_dict`` of each of an artifact's tree dicts, checked together.
-
-    Raises ValueError unless there is a tree, every tree has ``n_classes``
-    classes and one shared feature count (``n_features`` when given), every
-    threshold is finite, and every leaf holds nonnegative class counts, not
-    all zero.
-    """
-    trees = [TreeModel.from_dict(d) for d in dicts]
-    if not trees:
-        raise ValueError("the tree list is empty")
-    expected = (n_classes, trees[0].n_features if n_features is None else n_features)
-    shapes = {(t.n_classes, t.n_features) for t in trees}
-    if shapes != {expected}:
-        raise ValueError(f"trees have (n_classes, n_features) {sorted(shapes)}, "
-                         f"expected {expected}")
-    finite_floats(np.concatenate([t.threshold for t in trees]), "a tree threshold")
-    counts = np.concatenate([t.counts for t in trees])
-    # Internal nodes hold zero counts, and a tree of n nodes has (n + 1) // 2
-    # leaves, so every leaf holds some counts iff that many rows do.
-    leaves = sum((t.counts.shape[0] + 1) // 2 for t in trees)
-    if counts.min() < 0 or np.count_nonzero(counts.any(axis=1)) < leaves:
-        raise ValueError("a leaf has negative or all-zero class counts")
-    return trees
-
-
 class TreeStack:
     """The node arrays of several trees laid end to end, descended together.
 
-    Built once per fitted or loaded forest.  Besides the arrays ``descend``
+    Built once per fitted or loaded ensemble.  Besides the arrays ``descend``
     reads, it holds each node's class distribution and argmax vote, so a
-    forest turns leaf indices into outputs with one gather.
+    model turns leaf indices into outputs with one gather.
     """
 
     def __init__(self, trees: list):
@@ -471,8 +434,83 @@ def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
                       **params)[0]
 
 
-class DecisionTree(Estimator):
-    """Single Gini decision tree over the estimator contract."""
+class TreeEnsemble(Estimator):
+    """Gini trees grown together by ``grow_trees`` and read as one ``TreeStack``.
+
+    A subclass's ``fit`` chooses each tree's sample and feature seed and
+    hands them to ``grow``.  A subclass with probabilities defines
+    ``predict_proba`` through ``mean_proba``, and ``predict`` takes its first
+    argmax, i.e. ties go to the lowest class index.
+    """
+
+    def grow(self, X, y_idx, classes, samples: list, seeds: list) -> "TreeEnsemble":
+        """Grow tree t on ``samples[t]`` of X, as ``grow_trees`` takes it, with
+        its per-node features drawn from the stream of ``seeds[t]``."""
+        self.trees_ = grow_trees(X, y_idx, classes.size, samples,
+                                 [rng_from(seed) for seed in seeds], **tree_params(self))
+        self.stack_ = TreeStack(self.trees_)
+        self.n_features_ = X.shape[1]
+        self.classes_ = classes
+        return self
+
+    def mean_proba(self, A: np.ndarray) -> np.ndarray:
+        """Mean of the trees' leaf distributions for each row of A."""
+        total = np.empty((A.shape[0], self.classes_.size))
+        for rows, leaves in descend_blocks(self.stack_, A):
+            # A running sum over the tree axis adds the leaf distributions in
+            # tree order, so the mean is the same float sum tree by tree.
+            total[rows] = np.cumsum(self.stack_.distribution[leaves], axis=0)[-1]
+        return total / len(self.trees_)
+
+    def predict(self, X) -> np.ndarray:
+        proba = self.predict_proba(X)
+        return self.classes_.decode(np.argmax(proba, axis=1).astype(np.int64))
+
+    def get_state(self) -> dict:
+        state = super().get_state()
+        deepest = max(t.depth for t in self.trees_)
+        if deepest > MAX_SAVED_DEPTH:
+            raise InfbenchError(
+                f"cannot save {self.kind}: it has a tree of depth {deepest}, and an "
+                f"artifact holds trees of depth {MAX_SAVED_DEPTH} at most"
+            )
+        return {**state, "trees": [t.to_dict() for t in self.trees_]}
+
+    @classmethod
+    def from_state(cls, state: dict, n_features: int | None = None) -> "TreeEnsemble":
+        """Inverse of ``get_state``.
+
+        Raises ValueError unless there is a tree, every tree has the model's
+        classes and one shared feature count (``n_features`` when given),
+        every threshold is finite, and every leaf holds nonnegative class
+        counts, not all zero.
+        """
+        est = super().from_state(state)
+        trees = [TreeModel.from_dict(d) for d in state["trees"]]
+        if not trees:
+            raise ValueError("the tree list is empty")
+        expected = (est.classes_.size,
+                    trees[0].n_features if n_features is None else n_features)
+        shapes = {(t.n_classes, t.n_features) for t in trees}
+        if shapes != {expected}:
+            raise ValueError(f"trees have (n_classes, n_features) {sorted(shapes)}, "
+                             f"expected {expected}")
+        finite_floats(np.concatenate([t.threshold for t in trees]), "a tree threshold")
+        counts = np.concatenate([t.counts for t in trees])
+        # Internal nodes hold zero counts, and a tree of n nodes has (n + 1) // 2
+        # leaves, so every leaf holds some counts iff that many rows do.
+        leaves = sum((t.counts.shape[0] + 1) // 2 for t in trees)
+        if counts.min() < 0 or np.count_nonzero(counts.any(axis=1)) < leaves:
+            raise ValueError("a leaf has negative or all-zero class counts")
+        est.trees_, est.stack_, est.n_features_ = trees, TreeStack(trees), expected[1]
+        return est
+
+
+class DecisionTree(TreeEnsemble):
+    """Single Gini decision tree: the ensemble of one tree on every row.
+
+    Its artifact holds the tree under ``tree`` rather than a one-tree list.
+    """
 
     kind = "decision_tree"
 
@@ -487,27 +525,17 @@ class DecisionTree(Estimator):
 
     def fit(self, X, y) -> "DecisionTree":
         A, y_idx, classes = check_fit_inputs(X, y)
-        rng = rng_from(resolve_seed(self.seed))
-        self.tree_ = grow_tree(A, y_idx, classes.size, feature_rng=rng,
-                               **tree_params(self))
-        self.n_features_ = A.shape[1]
-        self.classes_ = classes
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        A = self._check_predict_input(X)
-        return self.classes_.decode(self.tree_.predict_idx(A))
+        return self.grow(A, y_idx, classes, [whole_sample(A.shape[0])],
+                         [resolve_seed(self.seed)])
 
     def predict_proba(self, X) -> np.ndarray:
-        A = self._check_predict_input(X)
-        return self.tree_.distribution(A)
+        return self.mean_proba(self._check_predict_input(X))
 
     def get_state(self) -> dict:
-        return {**super().get_state(), "tree": trees_to_dicts(self, [self.tree_])[0]}
+        state = super().get_state()
+        [state["tree"]] = state.pop("trees")
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "DecisionTree":
-        est = super().from_state(state)
-        est.tree_ = trees_from_dicts([state["tree"]], est.classes_.size)[0]
-        est.n_features_ = est.tree_.n_features
-        return est
+        return super().from_state({**state, "trees": [state["tree"]]})

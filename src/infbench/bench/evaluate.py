@@ -16,6 +16,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,7 +138,6 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
     """
     if workers < 1:
         raise InfbenchError(f"workers must be >= 1, got {workers}")
-    base_seed = resolve_seed(protocol.seed)
     encoded = {}
     datasets = []
     for spec in specs:
@@ -147,6 +147,11 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
             (spec.dataset_id, data.X.shape[0], data.X.shape[1], data.classes.size)
         )
 
+    # resolved and logged once every dataset has ingested, so that a bad
+    # table is the run's one line
+    base_seed = resolve_seed(protocol.seed)
+    log.info("benchmark: %d models x %d datasets, %d folds, %d workers",
+             len(models), len(specs), protocol.folds, workers)
     model_ids = list(models)
     dataset_ids = [spec.dataset_id for spec in specs]
     tasks = [
@@ -157,15 +162,13 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
     ]
 
     outcomes = []
-    if workers == 1:
-        for t in tasks:
-            outcomes.append(_eval_cell_task(t))
-            log.info("evaluated %s on %s", t[0], t[2])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for out in pool.map(_eval_cell_task, tasks):
-                outcomes.append(out)
-                log.info("evaluated %s on %s", out[0], out[1])
+    pool = nullcontext() if workers == 1 else ProcessPoolExecutor(max_workers=workers)
+    with pool:
+        # one worker evaluates the cells in this process
+        mapper = map if workers == 1 else pool.map
+        for out in mapper(_eval_cell_task, tasks):
+            outcomes.append(out)
+            log.info("evaluated %s on %s", out[0], out[1])
     stopped = {f"{m} on {d}": caught for m, d, _, _, caught in outcomes if caught}
     if stopped:
         messages = sorted({msg for caught in stopped.values() for msg in caught})

@@ -203,14 +203,40 @@ class TableEncoder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TableEncoder":
-        return cls(
+        """Inverse of ``to_dict``.  Raises IngestError when there is no feature
+        column, or naming the first feature column without a kind, a numeric
+        one without a finite median, or a categorical one without a list of
+        string categories."""
+        enc = cls(
             target_column=d["target_column"],
             feature_columns=list(d["feature_columns"]),
             kinds=dict(d["kinds"]),
             medians=dict(d["medians"]),
-            categories={k: list(v) for k, v in d["categories"].items()},
+            categories=dict(d["categories"]),
             report=list(d["report"]),
         )
+        if not enc.feature_columns:
+            raise IngestError("encoding has no feature columns")
+        for col in enc.feature_columns:
+            kind = enc.kinds.get(col)
+            if kind == "numeric":
+                med = enc.medians.get(col)
+                try:
+                    finite = not isinstance(med, bool) and math.isfinite(med)
+                except (TypeError, OverflowError):
+                    finite = False
+                if not finite:
+                    raise IngestError(f"encoding: numeric column {col!r} has "
+                                      f"median {med!r}, not a finite number")
+            elif kind == "categorical":
+                cats = enc.categories.get(col)
+                if not (isinstance(cats, list) and all(isinstance(c, str) for c in cats)):
+                    raise IngestError(f"encoding: categorical column {col!r} has "
+                                      "no list of string categories")
+            else:
+                raise IngestError(f"encoding: column {col!r} has kind {kind!r}, "
+                                  "not 'numeric' or 'categorical'")
+        return enc
 
 
 @dataclass
@@ -234,6 +260,9 @@ def encode_table(dataset_id, header, rows, target_column, kinds) -> EncodedDatas
         if col not in header:
             raise UnknownColumn(col, dataset_id)
     feature_columns = [c for c in header if c != target_column and c in kinds]
+    if not feature_columns:
+        raise IngestError(f"dataset {dataset_id} has no feature columns besides "
+                          f"its target {target_column!r}")
     encoder = TableEncoder(target_column, feature_columns, dict(kinds)).fit(header, rows)
     X = encoder.transform(header, rows)
     validate_matrix(X)

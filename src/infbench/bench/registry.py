@@ -44,7 +44,14 @@ def load_registry(manifest_path) -> list:
 
     specs = []
     seen = set()
-    for entry in doc["datasets"]:
+    for i, entry in enumerate(doc["datasets"]):
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), str) for k in ("id", "path", "target_column"))
+                and isinstance(entry.get("columns"), dict)):
+            raise IngestError(
+                f"manifest {manifest_path} datasets[{i}] is not an object with string "
+                "'id', 'path' and 'target_column' and an object 'columns'"
+            )
         dataset_id = entry["id"]
         if dataset_id in seen:
             raise DuplicateId(dataset_id)

@@ -98,8 +98,6 @@ def cmd_bench_run(args) -> int:
     entries = select_models(args.models)
     protocol = EvalProtocol(folds=args.folds, seed=args.seed)
     models = {e.model_id: (e.make(), e.generator) for e in entries}
-    log.info("benchmark: %d models x %d datasets, %d folds, %d workers",
-             len(models), len(specs), protocol.folds, args.workers)
     result = run_benchmark(specs, models, protocol, workers=args.workers)
     results_path, table_path = write_artifacts(result, args.out)
     log.info("wrote %s and %s", results_path, table_path)
@@ -123,7 +121,7 @@ def cmd_train(args) -> int:
             f"target column {args.target!r} not in {args.data}"
         )
     kinds = infer_kinds(header, rows, args.target)
-    data = encode_table("train", header, rows, args.target, kinds)
+    data = encode_table(str(args.data), header, rows, args.target, kinds)
     est = entry.make(seed=args.seed)
     est.fit(data.X, data.y)
     save_model_artifact(args.out, entry.model_id, est, data.encoder)

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Estimator, check_fit_inputs, derive_seed, finite_floats,
-                   resolve_seed)
+from .core import check_fit_inputs, derive_seed, finite_floats, resolve_seed
 from .errors import MissingClass
-from .baselearners.forest import grow_forest, plurality_vote
-from .baselearners.tree import (TreeStack, descend_blocks, trees_from_dicts,
-                                trees_to_dicts, whole_sample)
+from .baselearners.forest import plurality_vote
+from .baselearners.tree import TreeEnsemble, descend_blocks, whole_sample
 
 
 def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
@@ -43,7 +41,7 @@ def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
     return np.sign(total)
 
 
-class DirectionalForest(Estimator):
+class DirectionalForest(TreeEnsemble):
     """Feature-direction ensemble classifier.
 
     Tree i draws its per-node feature subsets from ``derive_seed(seed, i)``,
@@ -68,15 +66,9 @@ class DirectionalForest(Estimator):
         A, y_idx, classes = check_fit_inputs(X, y)
         self.directions_ = feature_directions(A, y_idx, classes.size)
         base = resolve_seed(self.seed)
-        every_row = whole_sample(A.shape[0])
-        self.trees_ = grow_forest(
-            self, A * self.directions_, y_idx, classes.size,
-            lambda i: (every_row, derive_seed(base, i)),
-        )
-        self.stack_ = TreeStack(self.trees_)
-        self.n_features_ = A.shape[1]
-        self.classes_ = classes
-        return self
+        return self.grow(A * self.directions_, y_idx, classes,
+                         [whole_sample(A.shape[0])] * self.n_estimators,
+                         [derive_seed(base, i) for i in range(self.n_estimators)])
 
     def predict(self, X) -> np.ndarray:
         A = self._check_predict_input(X)
@@ -86,18 +78,11 @@ class DirectionalForest(Estimator):
         return self.classes_.decode(idx)
 
     def get_state(self) -> dict:
-        return {
-            **super().get_state(),
-            "directions": self.directions_.tolist(),
-            "trees": trees_to_dicts(self, self.trees_),
-        }
+        return {**super().get_state(), "directions": self.directions_.tolist()}
 
     @classmethod
     def from_state(cls, state: dict) -> "DirectionalForest":
-        est = super().from_state(state)
-        est.directions_ = finite_floats(state["directions"], "directions")
-        est.trees_ = trees_from_dicts(state["trees"], est.classes_.size,
-                                      est.directions_.shape[0])
-        est.stack_ = TreeStack(est.trees_)
-        est.n_features_ = est.directions_.shape[0]
+        directions = finite_floats(state["directions"], "directions")
+        est = super().from_state(state, directions.shape[0])
+        est.directions_ = directions
         return est

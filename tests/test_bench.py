@@ -150,6 +150,28 @@ def test_encoder_roundtrip():
     assert clone.output_columns() == enc.output_columns()
 
 
+@pytest.mark.parametrize("mutate, named", [
+    pytest.param(lambda d: d["feature_columns"].clear(), "no feature columns",
+                 id="no_columns"),
+    pytest.param(lambda d: d["medians"].update(f1=float("nan")), "'f1'", id="nan_median"),
+    pytest.param(lambda d: d["kinds"].pop("color"), "'color'", id="no_kind"),
+    pytest.param(lambda d: d["categories"].pop("color"), "'color'", id="no_categories"),
+    pytest.param(lambda d: d["categories"].update(color="red"), "'color'",
+                 id="text_categories"),
+    pytest.param(lambda d: d["categories"]["color"].append(3), "'color'",
+                 id="number_category"),
+])
+def test_encoder_from_dict_names_the_bad_column(mutate, named):
+    header = ["f1", "color", "label"]
+    rows = [["1.5", "red", "a"], ["2.5", "blue", "b"]]
+    d = encode_table("d", header, rows, "label",
+                     {"f1": "numeric", "color": "categorical"}).encoder.to_dict()
+    mutate(d)
+    with pytest.raises(IngestError) as err:
+        TableEncoder.from_dict(d)
+    assert "encoding" in str(err.value) and named in str(err.value)
+
+
 def test_schema_mismatch_on_missing_column():
     enc = TableEncoder("label", ["v"], {"v": "numeric"})
     enc.fit(["v", "label"], [["1", "x"], ["2", "y"]])
@@ -314,6 +336,25 @@ def test_registry_rejects_bad_kind(tmp_path):
     ])
     with pytest.raises(IngestError):
         load_registry(manifest)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param({"path": "a.csv", "target_column": "label", "columns": {}}, id="no_id"),
+    pytest.param({"id": "x", "path": "a.csv", "target_column": "label"}, id="no_columns"),
+    pytest.param({"id": 7, "path": "a.csv", "target_column": "label", "columns": {}},
+                 id="number_id"),
+    pytest.param({"id": "x", "path": "a.csv", "target_column": "label",
+                  "columns": ["f1"]}, id="columns_list"),
+    pytest.param("a.csv", id="not_an_object"),
+])
+def test_registry_rejects_malformed_entry(tmp_path, entry):
+    write_dataset_csv(tmp_path / "a.csv", separable_rows())
+    good = {"id": "ok", "path": "a.csv", "target_column": "label",
+            "columns": {"f1": "numeric"}}
+    manifest = make_manifest(tmp_path, [good, entry])
+    with pytest.raises(IngestError) as err:
+        load_registry(manifest)
+    assert str(manifest) in str(err.value) and "datasets[1]" in str(err.value)
 
 
 def test_registry_rejects_bad_json(tmp_path):

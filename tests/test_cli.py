@@ -318,6 +318,26 @@ def test_unreadable_csv_exits_1_with_one_line(registry, tmp_path, capsys, comman
     assert str(bad) in err[0] and message in err[0]
 
 
+def test_table_without_feature_columns_exits_1(registry, tmp_path, capsys):
+    only_target = tmp_path / "only_target.csv"
+    write_csv(only_target, ["label"], [["neg"], ["pos"]])
+    manifest = tmp_path / "no_columns.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"id": "bare", "path": "a.csv", "target_column": "label", "columns": {}},
+    ]}))
+    runs = [
+        (["train", "--model", "decision_tree", "--data", str(only_target),
+          "--target", "label", "--out", str(tmp_path / "model.json")], str(only_target)),
+        (["bench", "--registry", str(manifest), "--out", str(tmp_path / "out")], "bare"),
+    ]
+    for argv, dataset in runs:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "no feature columns" in err[0] and dataset in err[0]
+
+
 def _state(doc):
     return doc["estimator"]["state"]
 
@@ -340,6 +360,15 @@ MALFORMED_ARTIFACTS = [
                  "bogus", id="unknown_hyperparam"),
     pytest.param("decision_tree", lambda d: d.pop("encoding"),
                  "encoding", id="encoding"),
+    pytest.param("decision_tree", lambda d: d["encoding"]["medians"].clear(),
+                 "encoding", id="encoding_no_medians"),
+    pytest.param("decision_tree", lambda d: d["encoding"]["kinds"].update(f1="weird"),
+                 "encoding", id="encoding_unknown_kind"),
+    pytest.param("decision_tree",
+                 lambda d: d["encoding"]["kinds"].update(f2="categorical"),
+                 "encoding", id="encoding_no_categories"),
+    pytest.param("decision_tree", lambda d: d["encoding"]["medians"].update(f1="abc"),
+                 "encoding", id="encoding_text_median"),
     pytest.param("decision_tree",
                  lambda d: _first_leaf(_state(d)["tree"]).update(counts=[1, 2, 3, 4]),
                  "counts", id="leaf_counts_width"),

@@ -163,6 +163,10 @@ def test_stacked_proba_is_the_tree_order_sum(case):
         total += tree.distribution(probe)
     expected = total / len(forest.trees_)
     assert forest.predict_proba(probe).tobytes() == expected.tobytes()
+    tree = DecisionTree(max_depth=params["max_depth"], seed=params["seed"]).fit(X, y)
+    assert tree.predict_proba(probe).tobytes() == tree.trees_[0].distribution(probe).tobytes()
+    assert tree.predict(probe).tolist() == tree.classes_.decode(
+        tree.trees_[0].predict_idx(probe)).tolist()
 
 
 @given(forest_data())

@@ -24,15 +24,7 @@ from ..core import derive_seed, resolve_seed, stable_text_hash
 from ..errors import ConvergenceWarning, EvaluationError, InfbenchError
 from ..metasynthesis import stratified_folds
 from .ingest import ingest_csv
-from .scoring import (
-    Leaderboard,
-    ScoreTable,
-    aggregate_minmax,
-    average_rank,
-    build_leaderboard,
-    normalize_table,
-    render_leaderboard,
-)
+from .scoring import Leaderboard, ScoreTable, build_leaderboard, render_leaderboard
 
 log = logging.getLogger("infbench.bench")
 
@@ -169,30 +161,31 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
         for out in mapper(_eval_cell_task, tasks):
             outcomes.append(out)
             log.info("evaluated %s on %s", out[0], out[1])
-    stopped = {f"{m} on {d}": caught for m, d, _, _, caught in outcomes if caught}
+
+    fold_accuracies = {}
+    failures = []
+    means = {}
+    stopped = {}
+    for model_id, dataset_id, accs, error, caught in outcomes:
+        if error is None:
+            fold_accuracies[(model_id, dataset_id)] = accs
+            means[(model_id, dataset_id)] = sum(accs) / len(accs)
+        else:
+            failures.append(
+                {"model": model_id, "dataset": dataset_id, "error": error}
+            )
+        if caught:
+            stopped[f"{model_id} on {dataset_id}"] = caught
     if stopped:
         messages = sorted({msg for caught in stopped.values() for msg in caught})
         log.warning("%s, in %d cells: %s", "; ".join(messages), len(stopped),
                     ", ".join(stopped))
 
-    fold_accuracies = {}
-    failures = []
-    for model_id, dataset_id, accs, error, _ in outcomes:
-        if error is None:
-            fold_accuracies[(model_id, dataset_id)] = accs
-        else:
-            failures.append(
-                {"model": model_id, "dataset": dataset_id, "error": error}
-            )
-
     failed_models = {f["model"] for f in failures}
     surviving = [m for m in model_ids if m not in failed_models]
-    table = ScoreTable(model_ids=surviving, dataset_ids=dataset_ids)
-    for m in surviving:
-        for d in dataset_ids:
-            accs = fold_accuracies[(m, d)]
-            table.raw[(m, d)] = sum(accs) / len(accs)
-
+    table = ScoreTable(model_ids=surviving, dataset_ids=dataset_ids, raw={
+        cell: score for cell, score in means.items() if cell[0] not in failed_models
+    })
     leaderboard = None
     if len(surviving) >= 2:
         leaderboard = build_leaderboard(
@@ -218,16 +211,18 @@ def _artifact_timestamp() -> str:
 
 
 def result_document(result: BenchResult) -> dict:
-    """The machine-readable artifact body, pure data."""
-    normalized, extremes = ({}, {})
-    minmax, avg = ({}, {})
-    if result.table.model_ids:
-        try:
-            normalized, extremes = normalize_table(result.table)
-            minmax = aggregate_minmax(result.table)
-            avg = average_rank(result.table)
-        except InfbenchError:
-            pass  # fewer than 2 surviving models; grids stay empty
+    """The machine-readable artifact body, pure data.
+
+    Scores come from the leaderboard as ``run_benchmark`` built it; with
+    fewer than two surviving models there is none, and its grids are empty.
+    """
+    table = result.table
+    board = result.leaderboard
+    rows = board.rows if board else []
+
+    def by_model(grid):
+        return {m: {d: grid[(m, d)] for d in table.dataset_ids} for m in table.model_ids}
+
     doc = {
         "format_version": 1,
         "kind": "bench_results",
@@ -245,26 +240,15 @@ def result_document(result: BenchResult) -> dict:
             {"id": m, "generator": result.generators[m]}
             for m in result.model_ids
         ],
-        "raw_scores": {
-            m: {d: result.table.raw[(m, d)] for d in result.table.dataset_ids}
-            for m in result.table.model_ids
-        },
-        "fold_accuracies": {
-            m: {
-                d: result.fold_accuracies[(m, d)]
-                for d in result.table.dataset_ids
-            }
-            for m in result.table.model_ids
-        },
-        "normalized_scores": {
-            m: {d: normalized[(m, d)] for d in result.table.dataset_ids}
-            for m in result.table.model_ids
-        } if normalized else {},
+        "raw_scores": by_model(table.raw),
+        "fold_accuracies": by_model(result.fold_accuracies),
+        "normalized_scores": by_model(board.normalized) if board else {},
         "dataset_score_range": {
-            d: {"min": lo, "max": hi} for d, (lo, hi) in extremes.items()
+            d: {"min": lo, "max": hi}
+            for d, (lo, hi) in (board.score_range.items() if board else ())
         },
-        "minmax": minmax,
-        "average_rank": avg,
+        "minmax": {row.model_id: row.minmax for row in rows},
+        "average_rank": {row.model_id: row.avg_rank for row in rows},
         "leaderboard": [
             {
                 "rank": row.rank,
@@ -273,7 +257,7 @@ def result_document(result: BenchResult) -> dict:
                 "avg_rank": row.avg_rank,
                 "generator": row.generator,
             }
-            for row in (result.leaderboard.rows if result.leaderboard else [])
+            for row in rows
         ],
         "failures": sorted(
             result.failures, key=lambda f: (f["model"], f["dataset"])

@@ -30,11 +30,12 @@ MISSING_CATEGORY = "__missing__"
 def _read(path: Path, whole: bool):
     """The header of the UTF-8 CSV at ``path``, and its rows if ``whole``.
 
+    A leading byte-order mark, as spreadsheet exports write it, is dropped.
     Raises IngestError when the file is empty, is not UTF-8 text, or its
     header names a column twice.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             header = next(reader, None)
             rows = list(reader) if whole else None

@@ -41,6 +41,8 @@ def load_registry(manifest_path) -> list:
         raise IngestError(f"manifest {manifest_path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("datasets"), list):
         raise IngestError(f"manifest {manifest_path} lacks a 'datasets' list")
+    if not doc["datasets"]:
+        raise IngestError(f"manifest {manifest_path} lists no datasets")
 
     specs = []
     seen = set()

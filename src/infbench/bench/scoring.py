@@ -65,14 +65,18 @@ def normalize_table(table: ScoreTable):
     return normalized, extremes
 
 
-def aggregate_minmax(table: ScoreTable) -> dict:
-    """Per-model mean of normalized scores over all datasets."""
-    normalized, _ = normalize_table(table)
+def _model_means(table: ScoreTable, grid: dict) -> dict:
+    """Per-model exact mean of ``grid[(model_id, dataset_id)]`` over all datasets."""
     k = len(table.dataset_ids)
     return {
-        m: math.fsum(normalized[(m, d)] for d in table.dataset_ids) / k
+        m: math.fsum(grid[(m, d)] for d in table.dataset_ids) / k
         for m in table.model_ids
     }
+
+
+def aggregate_minmax(table: ScoreTable) -> dict:
+    """Per-model mean of normalized scores over all datasets."""
+    return _model_means(table, normalize_table(table)[0])
 
 
 def _fractional_ranks(scores: dict) -> dict:
@@ -95,12 +99,12 @@ def _fractional_ranks(scores: dict) -> dict:
 def average_rank(table: ScoreTable) -> dict:
     """Per-model mean fractional rank over datasets (lower is better)."""
     table.require_complete()
-    k = len(table.dataset_ids)
-    per_dataset = [_fractional_ranks(table.dataset_scores(d)) for d in table.dataset_ids]
-    return {
-        m: math.fsum(r[m] for r in per_dataset) / k
-        for m in table.model_ids
+    ranks = {
+        (m, d): r
+        for d in table.dataset_ids
+        for m, r in _fractional_ranks(table.dataset_scores(d)).items()
     }
+    return _model_means(table, ranks)
 
 
 @dataclass
@@ -116,15 +120,19 @@ class LeaderboardRow:
 class Leaderboard:
     rows: list
     n_datasets: int
+    normalized: dict = field(default_factory=dict)  # (model_id, dataset_id) -> [0, 1]
+    score_range: dict = field(default_factory=dict)  # dataset_id -> (min, max) raw score
 
 
 def build_leaderboard(table: ScoreTable, generators: dict) -> Leaderboard:
     """Sorted leaderboard with dense 1-based ranks.
 
     Orders descending by MinMax score, alphabetical model id on ties; tied
-    MinMax scores share the better rank.
+    MinMax scores share the better rank.  The grid is normalized and ranked
+    once; the board keeps the normalized grid and each dataset's range.
     """
-    minmax = aggregate_minmax(table)
+    normalized, score_range = normalize_table(table)
+    minmax = _model_means(table, normalized)
     avg = average_rank(table)
     ordered = sorted(minmax.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = []
@@ -141,7 +149,8 @@ def build_leaderboard(table: ScoreTable, generators: dict) -> Leaderboard:
             avg_rank=avg[m],
             generator=generators.get(m, "baseline"),
         ))
-    return Leaderboard(rows=rows, n_datasets=len(table.dataset_ids))
+    return Leaderboard(rows=rows, n_datasets=len(table.dataset_ids),
+                       normalized=normalized, score_range=score_range)
 
 
 def render_leaderboard(board: Leaderboard) -> str:

@@ -173,6 +173,11 @@ class MetaSynthesisClassifier(Estimator):
 
     @classmethod
     def from_state(cls, state: dict) -> "MetaSynthesisClassifier":
+        """Inverse of ``get_state``.
+
+        Raises ValueError unless there is a base, every base reads
+        ``n_features`` columns and the meta-model reads ``meta_width``.
+        """
         from .serialize import estimator_from_state
 
         est = super().from_state(state)
@@ -182,4 +187,13 @@ class MetaSynthesisClassifier(Estimator):
         est.meta_estimator = est.meta_model_.fresh_clone()
         est.meta_width_ = int(state["meta_width"])
         est.n_features_ = int(state["n_features"])
+        if not est.base_models_:
+            raise ValueError("the base_models list is empty")
+        widths = sorted({b.n_features_ for b in est.base_models_})
+        if widths != [est.n_features_]:
+            raise ValueError(f"base models read {widths} features, "
+                             f"n_features is {est.n_features_}")
+        if est.meta_model_.n_features_ != est.meta_width_:
+            raise ValueError(f"the meta model reads {est.meta_model_.n_features_} "
+                             f"features, meta_width is {est.meta_width_}")
         return est

@@ -346,15 +346,18 @@ def test_registry_rejects_bad_kind(tmp_path):
     pytest.param({"id": "x", "path": "a.csv", "target_column": "label",
                   "columns": ["f1"]}, id="columns_list"),
     pytest.param("a.csv", id="not_an_object"),
+    pytest.param(None, id="empty"),
 ])
 def test_registry_rejects_malformed_entry(tmp_path, entry):
+    """A bad entry after a good one, or no entry at all (``None``)."""
     write_dataset_csv(tmp_path / "a.csv", separable_rows())
     good = {"id": "ok", "path": "a.csv", "target_column": "label",
             "columns": {"f1": "numeric"}}
-    manifest = make_manifest(tmp_path, [good, entry])
+    manifest = make_manifest(tmp_path, [] if entry is None else [good, entry])
     with pytest.raises(IngestError) as err:
         load_registry(manifest)
-    assert str(manifest) in str(err.value) and "datasets[1]" in str(err.value)
+    named = "no datasets" if entry is None else "datasets[1]"
+    assert str(manifest) in str(err.value) and named in str(err.value)
 
 
 def test_registry_rejects_bad_json(tmp_path):
@@ -681,10 +684,35 @@ def test_single_survivor_skips_leaderboard(tiny_registry, tmp_path):
     doc = result_document(result)
     assert doc["minmax"] == {}
     assert doc["leaderboard"] == []
+    assert doc["normalized_scores"] == {}
+    assert doc["dataset_score_range"] == {}
+    assert doc["average_rank"] == {}
+    assert set(doc["raw_scores"]) == {"decision_tree"}
     out = tmp_path / "artifacts"
     results_path, table_path = write_artifacts(result, out)
     assert results_path.name == "results.json"
     assert "no leaderboard" in table_path.read_text()
+
+
+def test_bench_run_scores_the_grid_once(tiny_registry, tmp_path, monkeypatch):
+    from infbench.bench import evaluate, scoring
+
+    calls = {"normalize_table": 0, "average_rank": 0}
+    for name in calls:
+        inner = getattr(scoring, name)
+
+        def spy(table, inner=inner, name=name):
+            calls[name] += 1
+            return inner(table)
+
+        # wherever the name is bound: the scoring module and any importer
+        for module in (scoring, evaluate):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    result = run_benchmark(load_registry(tiny_registry), real_models(),
+                           EvalProtocol(folds=3, seed=7))
+    write_artifacts(result, tmp_path / "out")
+    assert calls == {"normalize_table": 1, "average_rank": 1}
 
 
 def test_small_class_failure_is_recorded(tmp_path):

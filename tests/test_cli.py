@@ -338,6 +338,41 @@ def test_table_without_feature_columns_exits_1(registry, tmp_path, capsys):
         assert "no feature columns" in err[0] and dataset in err[0]
 
 
+def test_empty_manifest_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "empty.json"
+    manifest.write_text(json.dumps({"datasets": []}))
+    code = main(["bench", "--registry", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(manifest) in err[0] and "no datasets" in err[0]
+
+
+def test_byte_order_mark_csv_finds_its_first_column(tmp_path, capsys):
+    # a spreadsheet export: UTF-8 with a leading byte-order mark
+    data = tmp_path / "bom.csv"
+    rows = [[label, f1, f2] for f1, f2, label in blob_rows(seed=4)]
+    write_csv(data, ["label", "f1", "f2"], rows)
+    data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--model", "decision_tree", "--data", str(data),
+        "--target", "label", "--out", str(model_path), "--seed", "5",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data)]) == 0
+    assert capsys.readouterr().out.splitlines() == [row[0] for row in rows]
+    manifest = tmp_path / "bom.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"id": "bom", "path": "bom.csv", "target_column": "label",
+         "columns": {"f1": "numeric", "f2": "numeric"}},
+    ]}))
+    assert main([
+        "bench", "--registry", str(manifest), "--models", "decision_tree",
+        "--folds", "2", "--seed", "7", "--out", str(tmp_path / "out"),
+    ]) == 0
+
+
 def _state(doc):
     return doc["estimator"]["state"]
 
@@ -414,6 +449,12 @@ MALFORMED_ARTIFACTS = [
                  "shapes", id="mean_one_short"),
     pytest.param("logistic_regression", lambda d: _state(d)["intercept"].append(0.5),
                  "shapes", id="intercept_one_long"),
+    pytest.param("meta_synthesis", lambda d: _state(d).update(base_models=[]),
+                 "base_models", id="meta_no_bases"),
+    pytest.param("meta_synthesis", lambda d: _state(d).update(n_features=3),
+                 "n_features", id="meta_bases_narrower"),
+    pytest.param("meta_synthesis", lambda d: _state(d).update(meta_width=999),
+                 "meta_width", id="meta_width"),
 ]
 
 

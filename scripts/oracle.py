@@ -1,4 +1,5 @@
-"""Print the regression oracle of this checkout.
+"""Print the regression oracle of this checkout and check it against the
+recorded one.
 
 Two sets of sha256 digests, each of which a behaviour-preserving change must
 leave as it is:
@@ -7,6 +8,11 @@ leave as it is:
   the bundled registry, with ``SOURCE_DATE_EPOCH=0``;
 * the artifact each registered model writes with ``infbench train --seed 7``
   on ``synth.xor_cat(n=400)``.
+
+The recorded digests are in ``scripts/oracle.sha256``, one ``<digest>  <name>``
+line each.  The script exits 1, naming each digest that differs from its
+record, and 0 when all six match.  A change that alters behaviour on purpose
+updates that file in the same diff.
 
 Run from the repository root (it takes about a minute on two CPUs):
 
@@ -24,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+RECORD = Path(__file__).resolve().with_suffix(".sha256")
 sys.path.insert(0, str(SRC))
 
 from infbench.bench.synth import xor_cat  # noqa: E402
@@ -44,12 +51,20 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def recorded() -> dict:
+    """name -> digest, as ``scripts/oracle.sha256`` records them."""
+    lines = RECORD.read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines if line)}
+
+
 def main() -> None:
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         infbench("bench", "--seed", "42", "--folds", "5", "--workers", "2",
                  "--out", "bench", cwd=tmp)
-        print(f"{sha256(tmp / 'bench' / 'results.json')}  results.json "
+        digests["results.json"] = sha256(tmp / "bench" / "results.json")
+        print(f"{digests['results.json']}  results.json "
               "(bench --seed 42 --folds 5 --workers 2)")
 
         table = xor_cat(n=400)
@@ -59,8 +74,16 @@ def main() -> None:
             infbench("train", "--model", model_id, "--data", "xor.csv",
                      "--target", table.target, "--seed", "7",
                      "--out", f"{model_id}.json", cwd=tmp)
-            print(f"{sha256(tmp / f'{model_id}.json')}  {model_id} "
-                  "(train --seed 7 on xor_cat n=400)")
+            digests[model_id] = sha256(tmp / f"{model_id}.json")
+            print(f"{digests[model_id]}  {model_id} (train --seed 7 on xor_cat n=400)")
+
+    expected = recorded()
+    wrong = [f"{name}: {digests.get(name, 'not computed')}, recorded "
+             f"{expected.get(name, 'nothing')}"
+             for name in sorted(digests.keys() | expected.keys())
+             if digests.get(name) != expected.get(name)]
+    if wrong:
+        sys.exit(f"{len(wrong)} digest(s) differ from {RECORD.name}:\n" + "\n".join(wrong))
 
 
 if __name__ == "__main__":

@@ -42,6 +42,39 @@ def resolve_feature_count(max_features, n_features: int) -> int:
     return k
 
 
+def feature_subsets(rng: np.random.Generator, n: int, k: int):
+    """Yield ``np.sort(rng.choice(n, k, replace=False))`` again and again, for
+    1 <= k < n: the same arrays from the same stream, drawn in bulk.
+
+    Where numpy's ``choice`` runs Floyd's algorithm (Bentley & Floyd, CACM
+    1987), i.e. unless n > 10000 and k > n // 50, one call makes k bounded
+    draws in [0, j] for j = n-k ... n-1, each taking j instead when it hits a
+    value already taken, then shuffles them with k-1 draws in [0, i] for
+    i = k-1 ... 1.  Every one is a Lemire draw, as ``Generator.integers`` makes
+    with an array bound, so one ``integers`` call yields the draws of many
+    calls in stream order.  Chunks start at 64 subsets and double, up to
+    about ``BLOCK_PAIRS`` draws and flags; the stream moves a chunk at a time.
+    numpy's other branch, a tail shuffle, runs ``choice`` itself.
+    """
+    if n > 10000 and k > n // 50:
+        while True:
+            yield np.sort(rng.choice(n, size=k, replace=False))
+    bound = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)]) + 1
+    chunk, cap = 64, max(64, BLOCK_PAIRS // n)
+    while True:
+        draws = rng.integers(0, np.tile(bound, chunk)).reshape(chunk, -1)
+        taken = np.zeros((chunk, n), dtype=bool)
+        at = np.arange(chunk)
+        for s in range(k):
+            drawn = draws[:, s]
+            drawn[taken[at, drawn]] = n - k + s
+            taken[at, drawn] = True
+        sets = np.sort(draws[:, :k], axis=1)
+        del draws, taken, drawn  # hold only the sets while they are handed out
+        yield from sets
+        chunk = min(2 * chunk, cap)
+
+
 def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf: int) -> list:
     """Best split of each of ``nodes``, scored together in one segmented search.
 
@@ -49,9 +82,10 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf
     its ascending candidate columns, as many for every node.  ``ranks[f, r]``
     is the dense rank of ``X[r, f]`` among column f's distinct values.
     Returns, per node, None or ``(feature, threshold, left, right)``, each
-    child as ``(sample, class_counts)``.  Nodes holding more than
-    ``BLOCK_PAIRS`` (distinct row, candidate, class) triples between them are
-    searched in halves, to bound memory.
+    child as ``(sample, class_counts, size, classes_present)``: its sample, its
+    class counts and their sum as ints, and how many counts are nonzero.
+    Nodes holding more than ``BLOCK_PAIRS`` (distinct row, candidate, class)
+    triples between them are searched in halves, to bound memory.
 
     Minimizing weighted child Gini is equivalent to maximizing
     q = sum(left_counts^2)/n_l + sum(right_counts^2)/n_r, a ratio of small
@@ -125,22 +159,42 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf
         num, den = l2 * nr + r2 * nl, nl * nr  # q * nl * nr, exact
         if mb not in best or num * best[mb][1] > best[mb][0] * den:
             best[mb] = (num, den, b)
-
+    # a winner must strictly reduce impurity: q > sum(counts^2) / n, exactly
+    node_n = total.sum(axis=1).tolist()
+    node_sq = np.einsum("nc,nc->n", total, total).tolist()
+    wins = [(mb, b) for mb, (num, den, b) in best.items()
+            if num * node_n[mb] > den * node_sq[mb]]
     found = [None] * len(nodes)
-    for mb, (num, den, b) in best.items():
-        node_total = total[mb].tolist()
-        if num * sum(node_total) <= den * sum(c * c for c in node_total):
-            continue  # no candidate strictly reduces impurity
-        j, p = int(bj[b]), int(bp[b])
-        feature = int(feats[mb, j])
-        lo, hi = float(X[rows[pos[j, p]], feature]), float(X[rows[pos[j, p + 1]], feature])
-        # Guard against the midpoint rounding up onto the right-hand value,
-        # which would silently move the right run into the left child.
-        threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
-        at_left, at_right = pos[j, starts[mb]:p + 1], pos[j, p + 1:ends[mb]]
-        found[mb] = (feature, threshold,
-                     (sample[:, at_left], left[b].tolist()),
-                     (sample[:, at_right], right[b].tolist()))
+    if not wins:
+        return found
+
+    w, b = np.array(wins).T
+    j, p = bj[b], bp[b]
+    feature = feats[w, j]
+    lo, hi = X[rows[pos[j, p]], feature], X[rows[pos[j, p + 1]], feature]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    # Guard against the midpoint rounding up onto the right-hand value,
+    # which would silently move the right run into the left child.
+    threshold = np.where(mid < hi, mid, lo)
+    # each winner's rows in the order of its winning column, winner after
+    # winner: [first, cut) is its left child and [cut, end) its right
+    size = sizes[w]
+    end = np.cumsum(size)
+    first = end - size
+    cut = first + p - starts[w] + 1
+    at = np.repeat(j * n + starts[w] - first, size) + np.arange(end[-1])
+    ordered = sample[:, np.take(pos, at)]
+    left, right = left[b], right[b]
+    # A left child is searched next step, but a right child waits for its
+    # sibling's subtree; as a copy, it does not hold the whole step's rows.
+    for mb, f, t, lc, rc, nl, nr, pl, pr, a, c, e in zip(
+            w.tolist(), feature.tolist(), threshold.tolist(), left.tolist(),
+            right.tolist(), n_l[b].tolist(), n_r[b].tolist(),
+            np.count_nonzero(left, axis=1).tolist(),
+            np.count_nonzero(right, axis=1).tolist(),
+            first.tolist(), cut.tolist(), end.tolist()):
+        found[mb] = (f, t, (ordered[:, a:c], lc, nl, pl), (ordered[:, c:e].copy(), rc, nr, pr))
     return found
 
 
@@ -174,8 +228,7 @@ def best_split(X, y, candidate_features, *, n_classes: int | None = None,
                           [(whole_sample(y.size), feats)], min_samples_leaf)[0]
     if found is None:
         return None
-    feature, threshold, (_, left_counts), (_, right_counts) = found
-    nl, nr = sum(left_counts), sum(right_counts)
+    feature, threshold, (_, left_counts, nl, _), (_, right_counts, nr, _) = found
     weighted = (nl * gini_impurity(left_counts) + nr * gini_impurity(right_counts)) / y.size
     return feature, threshold, gini_impurity(np.add(left_counts, right_counts)) - weighted
 
@@ -203,9 +256,10 @@ def descend(nodes, X: np.ndarray) -> np.ndarray:
     return node
 
 
-# (tree, row) pairs per block of ``descend_blocks``, and (distinct row,
-# candidate, class) triples per block of ``_search_nodes``: their working
-# arrays stay within a few hundred kilobytes each, whatever the input size.
+# (tree, row) pairs per block of ``descend_blocks``, (distinct row,
+# candidate, class) triples per block of ``_search_nodes``, and roughly the
+# draws per chunk of ``feature_subsets``: their working arrays stay within a
+# few hundred kilobytes each, whatever the input size.
 BLOCK_PAIRS = 1 << 15
 
 
@@ -363,8 +417,11 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
 
     At each node the candidate features are a uniform sample without
     replacement from ``feature_rngs[t]`` (all features when the sample size
-    equals the total), drawn in that visiting order.  A node becomes a leaf at
-    ``max_depth``, when pure, or when no admissible split reduces impurity.
+    equals the total), drawn in that visiting order by ``feature_subsets``.
+    A passed generator is advanced past the draws its tree used, and
+    possibly further, since they are drawn ahead in chunks.  A node becomes a
+    leaf at ``max_depth``, when pure, or when no admissible split reduces
+    impurity.
     The trees grow in lockstep: each step searches every unfinished tree's
     next node in one ``_search_nodes`` call, and no tree sees another's nodes.
     """
@@ -380,24 +437,21 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
         """One tree: yields each node to search and is sent its split, or None."""
         nodes, counts = [], []  # preorder (feature, threshold, left, right); counts
         depth = 0
-        # (sample, class counts, node depth, index of the split whose right
-        # child it is)
+        subsets = feature_subsets(feature_rng, n_features, k) if k < n_features else None
+        # (sample, class counts, size, classes present, node depth, index of
+        # the split whose right child it is)
         root_counts = np.bincount(y_idx[sample[0]], weights=sample[1], minlength=n_classes)
-        stack = [(sample, root_counts.astype(np.int64).tolist(), 0, None)]
+        stack = [(sample, root_counts.astype(np.int64).tolist(), int(sample[1].sum()),
+                  np.count_nonzero(root_counts), 0, None)]
         while stack:
-            sample, node_counts, level, parent = stack.pop()
+            sample, node_counts, size, present, level, parent = stack.pop()
             i = len(nodes)
             if parent is not None:
                 nodes[parent][3] = i
             split = None
             if ((max_depth is None or level < max_depth)
-                    and sum(node_counts) >= min_samples_split
-                    and sum(c > 0 for c in node_counts) > 1):
-                if k < n_features:
-                    feats = np.sort(feature_rng.choice(n_features, size=k, replace=False))
-                else:
-                    feats = all_feats
-                split = yield sample, feats
+                    and size >= min_samples_split and present > 1):
+                split = yield sample, all_feats if subsets is None else next(subsets)
             if split is None:
                 nodes.append((0, 0.0, i, i))
                 counts.extend(node_counts)
@@ -429,7 +483,10 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
 
 def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
               feature_rng: np.random.Generator | None = None, **params) -> TreeModel:
-    """One tree on every row of X: ``grow_trees`` of a single sample."""
+    """One tree on every row of X: ``grow_trees`` of a single sample.
+
+    As there, a passed ``feature_rng`` is advanced past the draws the tree
+    used, and possibly further."""
     return grow_trees(X, y_idx, n_classes, [whole_sample(X.shape[0])], [feature_rng],
                       **params)[0]
 

@@ -130,6 +130,8 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
     """
     if workers < 1:
         raise InfbenchError(f"workers must be >= 1, got {workers}")
+    if not specs or not models:
+        raise InfbenchError("a benchmark needs at least one dataset and one model")
     encoded = {}
     datasets = []
     for spec in specs:

@@ -643,6 +643,17 @@ def test_run_benchmark_complete_grid(tiny_registry, monkeypatch):
     assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
+@pytest.mark.parametrize("empty", ["specs", "models"])
+def test_run_benchmark_rejects_an_empty_grid(tiny_registry, empty):
+    specs, models = load_registry(tiny_registry), real_models()
+    if empty == "specs":
+        specs = []
+    else:
+        models = {}
+    with pytest.raises(InfbenchError, match="at least one dataset and one model"):
+        run_benchmark(specs, models, EvalProtocol(folds=3, seed=1))
+
+
 def test_run_benchmark_workers_identical(tiny_registry, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     specs = load_registry(tiny_registry)

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infbench.baselearners import DecisionTree, best_split, gini_impurity
-from infbench.baselearners.tree import grow_tree
+from infbench.baselearners import tree as tree_module
+from infbench.baselearners.tree import feature_subsets, grow_tree
 from infbench.core import encode_labels
 from infbench.errors import NotFitted
 
@@ -241,3 +244,109 @@ def test_state_roundtrip(blobs3):
     clone = DecisionTree.from_state(tree.get_state())
     assert clone.predict(X).tolist() == tree.predict(X).tolist()
     assert np.array_equal(clone.predict_proba(X), tree.predict_proba(X))
+
+
+# -- bulk feature draws --------------------------------------------------------
+
+def assert_draws_match_choice(seed: int, n: int, k: int, count: int):
+    """The first ``count`` subsets of ``feature_subsets`` are numpy's sorted
+    ``choice`` draws from a generator of the same seed, one after another."""
+    bulk = feature_subsets(np.random.default_rng(seed), n, k)
+    one_by_one = np.random.default_rng(seed)
+    for i in range(count):
+        want = np.sort(one_by_one.choice(n, size=k, replace=False))
+        got = next(bulk)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, i)
+
+
+@st.composite
+def draw_case(draw):
+    n = draw(st.integers(2, 10000))
+    # mostly small subsets, as "sqrt" draws, but any k < n
+    k = draw(st.one_of(st.integers(1, min(n - 1, 12)), st.integers(1, n - 1)))
+    # enough subsets to cross the first chunk (64) and often the second (192)
+    return draw(st.integers(0, 2**64 - 1)), n, k, draw(st.integers(1, 260))
+
+
+@given(draw_case())
+@settings(max_examples=60, deadline=None)
+def test_bulk_draws_equal_successive_choice_draws(case):
+    assert_draws_match_choice(*case)
+
+
+@pytest.mark.parametrize("k, bulk", [(200, True), (201, False)])
+def test_draws_at_numpys_floyd_cutoff(k, bulk):
+    # numpy's choice runs Floyd's algorithm for n > 10000 only while
+    # k <= n // 50; above that it shuffles a tail, which the draws leave to it
+    n, seed = 10001, 5
+    assert_draws_match_choice(seed, n, k, 70)
+    drawn, once = np.random.default_rng(seed), np.random.default_rng(seed)
+    next(feature_subsets(drawn, n, k))
+    once.choice(n, size=k, replace=False)
+    # the bulk path moves the stream a whole chunk of subsets ahead
+    assert (drawn.bit_generator.state != once.bit_generator.state) == bulk
+
+
+# -- the segmented search's children ---------------------------------------------
+
+# 1 + 2**-52 and 1 + 2**-51 are adjacent floats whose midpoint rounds onto
+# the upper one, so the threshold must fall back to the lower one
+ADJACENT = np.array([[1.0 + 2**-52, 0.0], [1.0 + 2**-51, 0.0], [3.0, 1.0]])
+
+
+@st.composite
+def search_case(draw):
+    """A small table with coarse values, several node samples of distinct
+    rows (in any order) with multiplicities, and one candidate count.  Two
+    values are adjacent floats, as in ``ADJACENT``."""
+    n = draw(st.integers(2, 30))
+    f = draw(st.integers(1, 4))
+    C = draw(st.integers(2, 3))
+    values = [-1.5, 0.0, 0.25, 1.0 + 2**-52, 1.0 + 2**-51, 3.0]
+    X = np.array(draw(st.lists(st.lists(st.sampled_from(values), min_size=f, max_size=f),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)))
+    k = draw(st.integers(1, f))
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        mult = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+        feats = draw(st.lists(st.integers(0, f - 1), min_size=k, max_size=k, unique=True))
+        nodes.append((np.array([rows, mult], dtype=np.int32), np.sort(feats)))
+    return X, y, C, nodes, draw(st.integers(1, 3))
+
+
+def as_multiset(sample) -> list:
+    return sorted(map(tuple, sample.T.tolist()))
+
+
+@given(search_case())
+@example((ADJACENT, np.array([0, 1, 1]), 2,
+          [(np.array([[2, 0, 1], [1, 2, 1]], dtype=np.int32), np.array([0])),
+           (np.array([[1, 0], [3, 1]], dtype=np.int32), np.array([0]))], 1))
+@settings(max_examples=150, deadline=None)
+def test_search_children_partition_their_parent(case):
+    X, y, C, nodes, min_samples_leaf = case
+    ranks = tree_module.column_ranks(X)
+    found = tree_module._search_nodes(X, ranks, y, C, nodes, min_samples_leaf)
+    assert len(found) == len(nodes)
+    for (sample, feats), split in zip(nodes, found):
+        alone = tree_module._search_nodes(X, ranks, y, C, [(sample, feats)], min_samples_leaf)
+        if split is None:
+            assert alone == [None]
+            continue
+        feature, threshold, left, right = split
+        assert feature in feats.tolist()
+        assert as_multiset(np.hstack([left[0], right[0]])) == as_multiset(sample)
+        for child, side in ((left, np.less_equal), (right, np.greater)):
+            child_sample, counts, size, present = child
+            rows, mult = child_sample
+            want = np.bincount(y[rows], weights=mult, minlength=C).astype(np.int64)
+            assert counts == want.tolist()
+            assert size == sum(counts) >= min_samples_leaf
+            assert present == np.count_nonzero(want)
+            assert side(X[rows, feature], threshold).all()
+        (a_feature, a_threshold, a_left, a_right), = alone
+        assert (a_feature, a_threshold) == (feature, threshold)
+        for a, b in ((a_left, left), (a_right, right)):
+            assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]

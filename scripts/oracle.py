@@ -7,11 +7,13 @@ leave as it is:
 * ``results.json`` of ``infbench bench --seed 42 --folds 5 --workers 2`` on
   the bundled registry, with ``SOURCE_DATE_EPOCH=0``;
 * the artifact each registered model writes with ``infbench train --seed 7``
-  on ``synth.xor_cat(n=400)``.
+  on ``synth.xor_cat(n=400)``;
+* what ``infbench predict`` prints for that same table with each of those
+  artifacts, which covers the load and predict path.
 
 The recorded digests are in ``scripts/oracle.sha256``, one ``<digest>  <name>``
 line each.  The script exits 1, naming each digest that differs from its
-record, and 0 when all six match.  A change that alters behaviour on purpose
+record, and 0 when all eleven match.  A change that alters behaviour on purpose
 updates that file in the same diff.
 
 Run from the repository root (it takes about a minute on two CPUs):
@@ -37,14 +39,15 @@ from infbench.bench.synth import xor_cat  # noqa: E402
 from infbench.models import MODELS  # noqa: E402
 
 
-def infbench(*argv: str, cwd: Path) -> None:
-    """Run the CLI of this checkout in a child process; exit with its stderr
-    if it fails."""
+def infbench(*argv: str, cwd: Path) -> str:
+    """Run the CLI of this checkout in a child process and return its stdout;
+    exit with its stderr if it fails."""
     env = {**os.environ, "SOURCE_DATE_EPOCH": "0", "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-m", "infbench.cli", *argv], cwd=cwd,
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"infbench {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
 
 
 def sha256(path: Path) -> str:
@@ -76,6 +79,11 @@ def main() -> None:
                      "--out", f"{model_id}.json", cwd=tmp)
             digests[model_id] = sha256(tmp / f"{model_id}.json")
             print(f"{digests[model_id]}  {model_id} (train --seed 7 on xor_cat n=400)")
+            out = infbench("predict", "--model-file", f"{model_id}.json",
+                           "--data", "xor.csv", cwd=tmp)
+            name = f"{model_id}.predict"
+            digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            print(f"{digests[name]}  {name} (predict on the same table)")
 
     expected = recorded()
     wrong = [f"{name}: {digests.get(name, 'not computed')}, recorded "

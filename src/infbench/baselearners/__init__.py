@@ -1,6 +1,6 @@
 """Self-contained base learners: decision tree, random forest, softmax regression."""
 
-from .tree import DecisionTree, best_split, gini_impurity
+from .tree import DecisionTree
 from .forest import RandomForest, plurality_vote
 from .logistic import LogisticRegression
 
@@ -8,7 +8,5 @@ __all__ = [
     "DecisionTree",
     "RandomForest",
     "LogisticRegression",
-    "best_split",
-    "gini_impurity",
     "plurality_vote",
 ]

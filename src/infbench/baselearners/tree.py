@@ -18,16 +18,6 @@ from ..core import Estimator, check_fit_inputs, finite_floats, resolve_seed, rng
 from ..errors import InfbenchError
 
 
-def gini_impurity(class_counts) -> float:
-    """Gini impurity 1 - sum(p_c^2) of a count vector."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("gini_impurity needs at least one sample")
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
-
-
 def resolve_feature_count(max_features, n_features: int) -> int:
     """Number of candidate features per node: None=all, 'sqrt', or a fixed int."""
     if max_features is None:
@@ -208,29 +198,6 @@ def column_ranks(X: np.ndarray) -> np.ndarray:
     shape (features, rows): equal values share a rank, and ranks follow the
     values' order."""
     return np.array([np.unique(column, return_inverse=True)[1] for column in X.T])
-
-
-def best_split(X, y, candidate_features, *, n_classes: int | None = None,
-               min_samples_leaf: int = 1):
-    """Search all midpoint thresholds of the candidate features of (X, y).
-
-    Returns ``(feature, threshold, gain)`` minimizing the weighted child Gini
-    impurity, or None when no split strictly reduces impurity or satisfies
-    ``min_samples_leaf``.  Ties break to the lowest feature index, then the
-    lowest threshold.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    feats = np.sort(np.asarray(list(candidate_features), dtype=np.int64))
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    found = _search_nodes(X, column_ranks(X), y, n_classes,
-                          [(whole_sample(y.size), feats)], min_samples_leaf)[0]
-    if found is None:
-        return None
-    feature, threshold, (_, left_counts, nl, _), (_, right_counts, nr, _) = found
-    weighted = (nl * gini_impurity(left_counts) + nr * gini_impurity(right_counts)) / y.size
-    return feature, threshold, gini_impurity(np.add(left_counts, right_counts)) - weighted
 
 
 def descend(nodes, X: np.ndarray) -> np.ndarray:

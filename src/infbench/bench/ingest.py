@@ -31,8 +31,8 @@ def _read(path: Path, whole: bool):
     """The header of the UTF-8 CSV at ``path``, and its rows if ``whole``.
 
     A leading byte-order mark, as spreadsheet exports write it, is dropped.
-    Raises IngestError when the file is empty, is not UTF-8 text, or its
-    header names a column twice.
+    Raises IngestError when the file is empty, is not UTF-8 text, is text the
+    ``csv`` module rejects, or its header names a column twice.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
@@ -41,6 +41,8 @@ def _read(path: Path, whole: bool):
             rows = list(reader) if whole else None
     except UnicodeDecodeError:
         raise IngestError(f"{path} is not UTF-8 text") from None
+    except csv.Error as e:
+        raise IngestError(f"{path} line {reader.line_num}: {e}") from None
     if header is None:
         raise IngestError(f"{path} is empty")
     seen = set()
@@ -249,10 +251,6 @@ class EncodedDataset:
     encoder: TableEncoder
     feature_names: list
 
-    @property
-    def report(self) -> list:
-        return self.encoder.report
-
 
 def encode_table(dataset_id, header, rows, target_column, kinds) -> EncodedDataset:
     if target_column not in header:
@@ -270,6 +268,10 @@ def encode_table(dataset_id, header, rows, target_column, kinds) -> EncodedDatas
     t = header.index(target_column)
     raw = [row[t] for row in rows]
     classes, _ = encode_labels(raw)
+    if any(_is_blank(label) for label in classes.labels):
+        row = next(i for i, label in enumerate(raw) if _is_blank(label)) + 1
+        raise IngestError(f"dataset {dataset_id}: target column {target_column!r} "
+                          f"is blank in data row {row}")
     y = np.asarray(raw, dtype=object)
     return EncodedDataset(
         dataset_id=dataset_id,

@@ -80,20 +80,11 @@ def aggregate_minmax(table: ScoreTable) -> dict:
 
 
 def _fractional_ranks(scores: dict) -> dict:
-    """Descending fractional ranks: tied scores share the mean of their positions."""
-    ordered = sorted(scores.items(), key=lambda kv: -kv[1])
-    ranks = {}
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and ordered[j + 1][1] == ordered[i][1]:
-            j += 1
-        # positions i+1 .. j+1 (1-based) share one rank
-        shared = (i + j + 2) / 2.0
-        for k in range(i, j + 1):
-            ranks[ordered[k][0]] = shared
-        i = j + 1
-    return ranks
+    """Descending fractional ranks: tied scores share the mean of their
+    positions, i.e. (scores above) + (ties + 1) / 2."""
+    values = list(scores.values())
+    return {m: sum(v > s for v in values) + (values.count(s) + 1) / 2
+            for m, s in scores.items()}
 
 
 def average_rank(table: ScoreTable) -> dict:

@@ -40,6 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list-models", help="list registered models")
     p_list.add_argument("--format", choices=("table", "machine"),
                         default="table")
+    p_list.set_defaults(run=cmd_list_models)
 
     p_bench = sub.add_parser("bench",
                              help="run the benchmark grid")
@@ -53,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--format", choices=("table", "machine"),
                          default="table")
+    p_bench.set_defaults(run=cmd_bench_run)
 
     p_train = sub.add_parser("train",
                              help="fit a model on a CSV and save it")
@@ -62,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", type=Path, required=True,
                          help="output model artifact path")
     p_train.add_argument("--seed", type=int, default=None)
+    p_train.set_defaults(run=cmd_train)
 
     p_pred = sub.add_parser("predict",
                             help="predict labels for a CSV with a saved model")
@@ -69,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--data", type=Path, required=True)
     p_pred.add_argument("--out", type=Path, default=None,
                         help="predictions file (default: stdout)")
+    p_pred.set_defaults(run=cmd_predict)
     return parser
 
 
@@ -93,6 +97,8 @@ def cmd_list_models(args) -> int:
 
 
 def cmd_bench_run(args) -> int:
+    # fail on an unusable --out before the grid runs, not after
+    args.out.mkdir(parents=True, exist_ok=True)
     manifest = args.registry if args.registry is not None else bundled_manifest_path()
     specs = load_registry(manifest)
     entries = select_models(args.models)
@@ -116,10 +122,6 @@ def cmd_bench_run(args) -> int:
 def cmd_train(args) -> int:
     entry = get_model(args.model)
     header, rows = read_csv(args.data)
-    if args.target not in header:
-        raise InfbenchError(
-            f"target column {args.target!r} not in {args.data}"
-        )
     kinds = infer_kinds(header, rows, args.target)
     data = encode_table(str(args.data), header, rows, args.target, kinds)
     est = entry.make(seed=args.seed)
@@ -144,14 +146,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "list-models": cmd_list_models,
-    "bench": cmd_bench_run,
-    "train": cmd_train,
-    "predict": cmd_predict,
-}
-
-
 def main(argv=None) -> int:
     # force: bind to whatever sys.stderr is NOW, not at first configuration,
     # so repeated in-process calls (tests, embedders) keep their diagnostics
@@ -164,7 +158,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InfbenchError as e:
         log.error("%s", e)
         return 1

@@ -1,14 +1,19 @@
 """Command-line behavior: exit codes, artifacts, train/predict round trip."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infbench
 from infbench.baselearners.tree import MAX_SAVED_DEPTH
@@ -249,12 +254,16 @@ def test_train_unknown_model_exits_1(registry, tmp_path):
     assert code == 1
 
 
-def test_train_unknown_target_exits_1(registry, tmp_path):
+def test_train_unknown_target_exits_1(registry, tmp_path, capsys):
+    data = tmp_path / "a.csv"
     code = main([
-        "train", "--model", "decision_tree", "--data", str(tmp_path / "a.csv"),
+        "train", "--model", "decision_tree", "--data", str(data),
         "--target", "ghost", "--out", str(tmp_path / "m.json"),
     ])
     assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "'ghost'" in err[0] and str(data) in err[0]
 
 
 def test_predict_missing_column_exits_1(registry, tmp_path, capsys):
@@ -294,10 +303,12 @@ BAD_CSVS = [
     pytest.param(b"\xff\xfef1,f2,label\n1,2,neg\n", "not UTF-8", id="not-utf8"),
     pytest.param(b"f1,f1,label\n1,80,neg\n7,20,pos\n", "'f1' more than once",
                  id="duplicate-column"),
+    pytest.param(b"f1,f2,label\n1,80,neg\n7," + b"2" * 200_000 + b",pos\n",
+                 "line 3: field larger than field limit", id="field-too-large"),
 ]
 
 
-@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("command", ["train", "predict", "bench"])
 @pytest.mark.parametrize("content, message", BAD_CSVS)
 def test_unreadable_csv_exits_1_with_one_line(registry, tmp_path, capsys, command,
                                               content, message):
@@ -307,6 +318,13 @@ def test_unreadable_csv_exits_1_with_one_line(registry, tmp_path, capsys, comman
     if command == "train":
         argv = ["train", "--model", "decision_tree", "--data", str(bad),
                 "--target", "label", "--out", str(model_path)]
+    elif command == "bench":
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps({"datasets": [
+            {"id": "bad", "path": "bad.csv", "target_column": "label",
+             "columns": {"f2": "numeric"}},
+        ]}))
+        argv = ["bench", "--registry", str(manifest), "--out", str(tmp_path / "out")]
     else:
         main(["train", "--model", "decision_tree", "--data", str(tmp_path / "a.csv"),
               "--target", "label", "--out", str(model_path)])
@@ -336,6 +354,107 @@ def test_table_without_feature_columns_exits_1(registry, tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "no feature columns" in err[0] and dataset in err[0]
+
+
+FUZZ_NAMES = ["f1", "f2", "label", "", " f1"]
+FUZZ_ODD_CELLS = ["", " ", "nan", "inf", "1e309", "\x00", '"x, y"', '"unclosed']
+
+
+@st.composite
+def fuzzed_csvs(draw):
+    """Text of a CSV of at most 8 rows, with target column ``label``: rows may
+    be ragged, cells blank, non-finite or badly quoted, the header duplicated,
+    and the file may start with a byte-order mark.  Each file draws which of
+    these faults it has, so that some files have none."""
+    header = draw(st.one_of(st.just(["f1", "f2", "label"]),
+                            st.lists(st.sampled_from(FUZZ_NAMES), min_size=1, max_size=4)))
+    cells = st.sampled_from(["0", "1.5", "-2", "7", "a", "b"]
+                            + draw(st.lists(st.sampled_from(FUZZ_ODD_CELLS), max_size=2)))
+    labels = st.sampled_from(["a", "b"] + draw(st.lists(st.sampled_from(["", " "]),
+                                                        max_size=1)))
+    widths = st.integers(0, 5) if draw(st.integers(0, 3)) == 0 else st.just(len(header))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        width = draw(widths)
+        rows.append([draw(labels if col == "label" else cells)
+                     for col in (header + [""] * width)[:width]])
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(",".join(line) + "\n" for line in [header, *rows])
+
+
+def _main_quietly(argv):
+    """``main(argv)`` with its stdout and stderr captured: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def blob_model(tmp_path_factory):
+    """A decision_tree artifact trained on f1, f2 -> label."""
+    tmp = tmp_path_factory.mktemp("blob_model")
+    write_csv(tmp / "a.csv", ["f1", "f2", "label"], blob_rows(seed=1))
+    model = tmp / "model.json"
+    code, err = _main_quietly(["train", "--model", "decision_tree", "--data",
+                               str(tmp / "a.csv"), "--target", "label", "--out", str(model)])
+    assert code == 0, err
+    return model
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=fuzzed_csvs())
+def test_fuzzed_csv_exits_0_or_1_with_one_line(blob_model, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "fuzz.csv", Path(tmp) / "model.json"
+        data.write_text(text, encoding="utf-8")
+        trained, err = _main_quietly(["train", "--model", "decision_tree", "--data", str(data),
+                                      "--target", "label", "--out", str(model)])
+        runs = [(trained, err), _main_quietly([
+            "predict", "--model-file", str(model if trained == 0 else blob_model),
+            "--data", str(data)])]
+        for code, err in runs:
+            assert code in (0, 1)
+            assert "Traceback" not in err
+            if code == 1:
+                assert len(err.splitlines()) == 1, err
+
+
+def test_blank_target_cell_exits_1_naming_its_row(registry, tmp_path, capsys):
+    rows = blob_rows(seed=5)
+    rows[2][2] = ""
+    data = tmp_path / "blank.csv"
+    write_csv(data, ["f1", "f2", "label"], rows)
+    manifest = tmp_path / "blank.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"id": "blank", "path": "blank.csv", "target_column": "label",
+         "columns": {"f1": "numeric", "f2": "numeric"}},
+    ]}))
+    runs = [
+        (["train", "--model", "decision_tree", "--data", str(data),
+          "--target", "label", "--out", str(tmp_path / "model.json")], str(data)),
+        (["bench", "--registry", str(manifest), "--models", "decision_tree",
+          "--out", str(tmp_path / "out")], "blank"),
+    ]
+    for argv, dataset in runs:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"dataset {dataset}:" in err[0]
+        assert "'label'" in err[0] and "data row 3" in err[0]
+
+
+def test_bench_out_that_is_a_file_exits_1_before_the_grid(registry, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code = main(["bench", "--registry", str(registry), "--models", "decision_tree",
+                 "--folds", "2", "--seed", "7", "--out", str(taken)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(taken) in err[0]
+    assert "benchmark:" not in err[0] and "evaluated" not in err[0]
 
 
 def test_empty_manifest_exits_1(tmp_path, capsys):

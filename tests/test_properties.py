@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from infbench.baselearners.forest import plurality_vote
 from infbench.baselearners.logistic import softmax
-from infbench.baselearners.tree import gini_impurity, grow_tree
+from infbench.baselearners.tree import grow_tree
 from infbench.core import derive_seed, encode_labels
 from infbench.bench.scoring import minmax_normalize
 from infbench.metasynthesis import stratified_folds
@@ -36,14 +36,6 @@ def test_derive_seed_streams_never_collide(base, stream_ids):
     seeds = [derive_seed(base, s) for s in stream_ids]
     assert len(set(seeds)) == len(seeds)
     assert all(0 <= s < 2**64 for s in seeds)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8)
-       .filter(lambda c: sum(c) > 0))
-def test_gini_bounds(counts):
-    g = gini_impurity(np.asarray(counts, dtype=np.int64))
-    k = sum(1 for c in counts if c > 0)
-    assert -1e-12 <= g <= 1.0 - 1.0 / k + 1e-12
 
 
 @given(st.data())

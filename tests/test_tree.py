@@ -8,58 +8,47 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infbench.baselearners import DecisionTree, best_split, gini_impurity
+from infbench.baselearners import DecisionTree
 from infbench.baselearners import tree as tree_module
 from infbench.baselearners.tree import feature_subsets, grow_tree
 from infbench.core import encode_labels
 from infbench.errors import NotFitted
 
 
-def test_gini_balanced():
-    assert gini_impurity([2, 2]) == 0.5
-
-
-def test_gini_pure():
-    assert gini_impurity([4, 0]) == 0.0
-
-
-def test_gini_three_class():
-    assert gini_impurity([1, 1, 2]) == pytest.approx(0.625, abs=1e-15)
-
-
-def test_gini_empty_errors():
-    with pytest.raises(ValueError):
-        gini_impurity([0, 0])
+def root_split(X, y, n_classes, **params):
+    """(feature, threshold) of the root of a depth-1 tree on (X, y), or None
+    when the root is a leaf."""
+    tree = grow_tree(X, y, n_classes, max_depth=1, **params)
+    if tree.left[0] == 0:
+        return None
+    return int(tree.feature[0]), float(tree.threshold[0])
 
 
 def test_best_split_frozen_example():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    feature, threshold, gain = best_split(X, y, [0])
-    assert feature == 0
-    assert threshold == 1.5
-    assert gain == pytest.approx(0.5)
+    assert root_split(X, y, 2) == (0, 1.5)
 
 
 def test_best_split_identical_rows():
     X = np.zeros((5, 2))
     y = np.array([0, 1, 0, 1, 0])
-    assert best_split(X, y, [0, 1]) is None
+    assert root_split(X, y, 2) is None
 
 
 def test_best_split_pure_node():
     X = np.arange(6, dtype=float).reshape(-1, 1)
     y = np.array([1, 1, 1, 1, 1, 1])
-    assert best_split(X, y, [0], n_classes=2) is None
+    assert root_split(X, y, 2) is None
 
 
 def test_best_split_min_samples_leaf():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1, 1])
     # only the 0.5 midpoint separates, but it leaves 1 < 2 rows on the left
-    got = best_split(X, y, [0], min_samples_leaf=2)
+    got = root_split(X, y, 2, min_samples_leaf=2)
     if got is not None:
-        feature, threshold, gain = got
+        feature, threshold = got
         mask = X[:, 0] <= threshold
         assert mask.sum() >= 2 and (~mask).sum() >= 2
 
@@ -162,13 +151,7 @@ def test_split_matches_oracle_sampled():
     rng = np.random.default_rng(77)
     for _ in range(60):
         X, y, n_classes = random_case(rng)
-        got = best_split(X, y, range(X.shape[1]), n_classes=n_classes)
-        want = oracle_best_split(X, y, n_classes)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got[0], got[1]) == want
+        assert root_split(X, y, n_classes) == oracle_best_split(X, y, n_classes)
 
 
 def test_tree_predictions_match_oracle_sampled():

@@ -1,11 +1,13 @@
-"""Multinomial logistic regression trained by full-batch gradient descent.
+"""Multinomial logistic regression fitted by damped Newton.
 
 The loss is the mean cross-entropy of the softmax probabilities plus an L2
-penalty on the weight matrix (the bias row is not penalized).  Features are
-standardized internally to zero mean and unit scale before optimization;
-constant columns keep scale 1 so they pass through as zeros.  With zero
-initialization the objective is convex and the whole procedure is
-deterministic, no seed involved.
+penalty on the weight matrix (not on the bias row), over features that are
+standardized internally; constant columns keep scale 1 and pass as zeros.
+Adding one constant to every bias leaves that loss as it is, so its Hessian is
+singular.  The solver minimizes the loss plus (sum of the biases)^2 / 2 instead:
+the same minimizer, as the loss's bias gradient sums to zero, and a positive
+definite Hessian.  Each Newton step backtracks to the Armijo condition, until
+the gradient's max-norm is below ``tol``.  The fit is deterministic, no seed.
 """
 
 from __future__ import annotations
@@ -15,16 +17,13 @@ import warnings
 import numpy as np
 
 from ..core import Estimator, check_fit_inputs, finite_floats
-from ..errors import ConvergenceWarning
+from ..errors import ConvergenceWarning, InfbenchError
 
 
-def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for overflow safety, written
-    to ``out`` when given (which may be ``scores`` itself)."""
-    out = np.subtract(scores, scores.max(axis=1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by the row max for overflow safety."""
+    E = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return E / E.sum(axis=1, keepdims=True)
 
 
 def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
@@ -37,16 +36,9 @@ def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
 def gradient(P: np.ndarray, W: np.ndarray, X: np.ndarray, Y: np.ndarray,
              l2: float):
     """Gradients w.r.t. W and b of ``loss_and_gradient``'s loss, given the
-    softmax probabilities ``P``, which it overwrites, and the one-hot targets
-    ``Y``.  Subtracting Y's zeros leaves the other entries' bits as they are."""
-    n = X.shape[0]
-    P -= Y
-    grad_W = X.T @ P
-    grad_W /= n
-    grad_W += l2 * W
-    grad_b = P.sum(axis=0)
-    grad_b /= n
-    return grad_W, grad_b
+    softmax probabilities ``P`` and the one-hot targets ``Y``."""
+    R = (P - Y) / X.shape[0]
+    return X.T @ R + l2 * W, R.sum(axis=0)
 
 
 def loss_and_gradient(W: np.ndarray, b: np.ndarray, X: np.ndarray,
@@ -69,14 +61,14 @@ class LogisticRegression(Estimator):
 
     kind = "logistic_regression"
 
-    def __init__(self, lr: float = 0.1, l2: float = 1e-4,
-                 max_iter: int = 1000, tol: float = 1e-6):
-        self.lr = lr
+    def __init__(self, l2: float = 1e-4, max_iter: int = 1000, tol: float = 1e-6):
         self.l2 = l2
         self.max_iter = max_iter
         self.tol = tol
 
     def fit(self, X, y) -> "LogisticRegression":
+        if not self.l2 > 0:  # without the penalty the Hessian can be singular
+            raise InfbenchError(f"logistic regression needs l2 > 0, got {self.l2}")
         A, y_idx, classes = check_fit_inputs(X, y)
         self.mean_ = A.mean(axis=0)
         scale = A.std(axis=0)
@@ -84,30 +76,40 @@ class LogisticRegression(Estimator):
         self.scale_ = scale
         Z = (A - self.mean_) / self.scale_
 
-        d, C = A.shape[1], classes.size
-        W = np.zeros((d, C), dtype=np.float64)
-        b = np.zeros(C, dtype=np.float64)
-        Y = one_hot(y_idx, C)
-        P = np.empty((A.shape[0], C))  # scores, then probabilities
+        (n, d), C = Z.shape, classes.size
+        Z1 = np.hstack([Z, np.ones((n, 1))])  # theta = [W; b], shape (d + 1, C)
+
+        def objective(theta):
+            loss, grad_W, grad_b = loss_and_gradient(theta[:d], theta[d], Z, y_idx, self.l2)
+            s = theta[d].sum()
+            return theta, loss + 0.5 * s * s, np.vstack([grad_W, grad_b + s])
+
+        theta, loss, grad = objective(np.zeros((d + 1, C)))
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
-            np.matmul(Z, W, out=P)
-            P += b
-            grad_W, grad_b = gradient(softmax(P, out=P), W, Z, Y, self.l2)
-            gmax = max(np.abs(grad_W).max(), np.abs(grad_b).max())
-            if gmax < self.tol:
+            if np.abs(grad).max() < self.tol:
                 n_iter -= 1
                 break
-            grad_W *= self.lr
-            W -= grad_W
-            grad_b *= self.lr
-            b -= grad_b
+            P = softmax(Z1 @ theta)  # Hessian by class pair: no (n, d + 1, C) temporary
+            H = np.empty((d + 1, C, d + 1, C))
+            for k in range(C):
+                for j in range(k, C):
+                    w = P[:, k] * ((k == j) - P[:, j]) / n
+                    H[:, k, :, j] = H[:, j, :, k] = Z1.T @ (Z1 * w[:, None])
+            H = H.reshape(theta.size, theta.size)
+            H[np.arange(d * C), np.arange(d * C)] += self.l2
+            H[d * C:, d * C:] += 1.0
+            step = np.linalg.solve(H, -grad.ravel())
+            for t in 0.5 ** np.arange(34):  # Armijo backtracking, down to t ~ 1e-10
+                trial = objective(theta + t * step.reshape(theta.shape))
+                if trial[1] <= loss + 1e-4 * t * float(grad.ravel() @ step):
+                    break
+            theta, loss, grad = trial
         else:
             # one fixed message, so the default filter shows it once per process
             warnings.warn("logistic regression stopped at max_iter before its "
                           "gradient fell below tol", ConvergenceWarning)
-        self.coef_ = W
-        self.intercept_ = b
+        self.coef_, self.intercept_ = theta[:d], theta[d]
         self.n_iter_ = n_iter
         self.n_features_ = d
         self.classes_ = classes

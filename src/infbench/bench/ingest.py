@@ -18,6 +18,7 @@ import numpy as np
 
 from ..core import ClassSet, encode_labels, validate_matrix
 from ..errors import (
+    DegenerateTarget,
     IngestError,
     SchemaMismatch,
     UnknownColumn,
@@ -262,12 +263,20 @@ def encode_table(dataset_id, header, rows, target_column, kinds) -> EncodedDatas
     if not feature_columns:
         raise IngestError(f"dataset {dataset_id} has no feature columns besides "
                           f"its target {target_column!r}")
-    encoder = TableEncoder(target_column, feature_columns, dict(kinds)).fit(header, rows)
+    try:
+        encoder = TableEncoder(target_column, feature_columns, dict(kinds)).fit(header, rows)
+    except UnparseableCell as e:
+        raise UnparseableCell(e.column, e.row, e.value, dataset_id) from None
     X = encoder.transform(header, rows)
     validate_matrix(X)
     t = header.index(target_column)
     raw = [row[t] for row in rows]
-    classes, _ = encode_labels(raw)
+    try:
+        classes, _ = encode_labels(raw)
+    except DegenerateTarget:
+        raise DegenerateTarget(f"dataset {dataset_id}: target column {target_column!r} "
+                               f"has {len(set(raw))} distinct label(s), "
+                               "need at least 2") from None
     if any(_is_blank(label) for label in classes.labels):
         row = next(i for i, label in enumerate(raw) if _is_blank(label)) + 1
         raise IngestError(f"dataset {dataset_id}: target column {target_column!r} "

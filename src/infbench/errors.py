@@ -91,13 +91,14 @@ class UnknownColumn(InfbenchError):
 class UnparseableCell(InfbenchError):
     """A cell in a numeric column cannot be parsed as a finite real."""
 
-    def __init__(self, column: str, row: int, value: str):
+    def __init__(self, column: str, row: int, value: str, dataset_id: str = ""):
         self.column = column
         self.row = row
         self.value = value
-        super().__init__(
-            f"column {column!r}, data row {row}: cannot parse {value!r} as a finite number"
-        )
+        self.dataset_id = dataset_id
+        where = f"dataset {dataset_id}: " if dataset_id else ""
+        super().__init__(f"{where}column {column!r}, data row {row}: "
+                         f"cannot parse {value!r} as a finite number")
 
 
 class IngestError(InfbenchError):

@@ -42,7 +42,7 @@ MODELS = {e.model_id: e for e in (
                "forest on direction-aligned features, no bootstrap"),
     ModelEntry("baseline", RandomForest, "bootstrap-aggregated gini trees"),
     ModelEntry("baseline", LogisticRegression,
-               "multinomial softmax regression, full-batch gradient descent"),
+               "multinomial softmax regression, damped Newton"),
     ModelEntry("baseline", DecisionTree, "single gini decision tree"),
 )}
 

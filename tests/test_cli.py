@@ -84,15 +84,19 @@ def test_list_models_defaults_are_the_constructor_defaults(capsys):
         assert listed[model_id] == expected
 
 
-def run_cli(*argv):
-    """``python -m infbench.cli argv`` in a child process, on this package."""
+def run_python(*args):
+    """``python args`` in a child process, on this package."""
     src = str(Path(infbench.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "infbench.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_cli(*argv):
+    """``python -m infbench.cli argv`` in a child process, on this package."""
+    return run_python("-m", "infbench.cli", *argv)
 
 
 def test_module_entry_point_runs():
@@ -189,13 +193,26 @@ def test_bench_partial_failure_exits_2(registry, tmp_path):
     assert {f["dataset"] for f in doc["failures"]} == {"gamma"}
 
 
-def test_pooled_bench_reports_unconverged_cells_once(registry, tmp_path):
-    proc = run_cli(
-        "bench", "--registry", str(registry), "--models", "logistic_regression",
-        "--folds", "3", "--seed", "7", "--workers", "2",
-        "--out", str(tmp_path / "out"),
-    )
-    assert proc.returncode == 0
+# run_benchmark as cmd_bench_run calls it, with the CLI's log format, in a
+# child process so that whatever pool workers write to stderr is seen too
+POOLED_UNCONVERGED = """
+import logging, sys
+from infbench.baselearners import LogisticRegression
+from infbench.bench.evaluate import EvalProtocol, run_benchmark
+from infbench.bench.registry import load_registry
+logging.basicConfig(stream=sys.stderr, level=logging.INFO,
+                    format="%(levelname)s %(name)s: %(message)s")
+# one Newton step cannot converge, so every cell stops at max_iter
+models = {"logistic_regression": (LogisticRegression(max_iter=1), "baseline")}
+result = run_benchmark(load_registry(sys.argv[1]), models,
+                       EvalProtocol(folds=3, seed=7), workers=2)
+sys.exit(0 if result.ok else 2)
+"""
+
+
+def test_pooled_bench_reports_unconverged_cells_once(registry):
+    proc = run_python("-c", POOLED_UNCONVERGED, str(registry))
+    assert proc.returncode == 0, proc.stderr
     err = proc.stderr.splitlines()
     stopped = [line for line in err if "max_iter" in line]
     assert len(stopped) == 1
@@ -445,6 +462,38 @@ def test_blank_target_cell_exits_1_naming_its_row(registry, tmp_path, capsys):
         assert "'label'" in err[0] and "data row 3" in err[0]
 
 
+def _bench_with_one_bad_table(tmp_path, rows):
+    """``bench`` over the good table ``a.csv`` and one with ``rows``, id ``bad``:
+    (exit code, stderr lines)."""
+    write_csv(tmp_path / "bad.csv", ["f1", "f2", "label"], rows)
+    manifest = tmp_path / "one_bad.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"id": dataset_id, "path": path, "target_column": "label",
+         "columns": {"f1": "numeric", "f2": "numeric"}}
+        for dataset_id, path in (("alpha", "a.csv"), ("bad", "bad.csv"))
+    ]}))
+    code, err = _main_quietly(["bench", "--registry", str(manifest),
+                               "--models", "decision_tree", "--out", str(tmp_path / "out")])
+    return code, err.splitlines()
+
+
+def test_single_label_target_names_its_dataset_and_column(registry, tmp_path):
+    code, err = _bench_with_one_bad_table(
+        tmp_path, [[row[0], row[1], "neg"] for row in blob_rows(seed=4)])
+    assert code == 1
+    assert len(err) == 1
+    assert "dataset bad: target column 'label' has 1 distinct label" in err[0]
+
+
+def test_unparseable_cell_names_its_dataset(registry, tmp_path):
+    rows = blob_rows(seed=4)
+    rows[1][0] = "nan"
+    code, err = _bench_with_one_bad_table(tmp_path, rows)
+    assert code == 1
+    assert len(err) == 1
+    assert "dataset bad: column 'f1', data row 2: cannot parse 'nan'" in err[0]
+
+
 def test_bench_out_that_is_a_file_exits_1_before_the_grid(registry, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
@@ -564,6 +613,9 @@ MALFORMED_ARTIFACTS = [
     pytest.param("logistic_regression",
                  lambda d: _state(d)["scale"].__setitem__(0, float("inf")),
                  "scale", id="infinite_scale"),
+    pytest.param("logistic_regression",
+                 lambda d: _state(d)["hyperparams"].update(lr=0.1),
+                 "'lr'", id="retired_lr_hyperparam"),
     pytest.param("logistic_regression", lambda d: _state(d)["mean"].pop(),
                  "shapes", id="mean_one_short"),
     pytest.param("logistic_regression", lambda d: _state(d)["intercept"].append(0.5),

@@ -22,7 +22,7 @@ from conftest import make_blobs
 PROTOTYPES = [
     pytest.param(lambda: DecisionTree(seed=3), id="decision_tree"),
     pytest.param(lambda: RandomForest(n_estimators=8, seed=3), id="random_forest"),
-    # no seed: gradient descent from zeros is fully deterministic
+    # no seed: Newton from zeros is fully deterministic
     pytest.param(lambda: LogisticRegression(max_iter=150), id="logistic"),
     pytest.param(
         lambda: DirectionalForest(n_estimators=8, seed=3), id="directional"

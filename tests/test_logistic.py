@@ -5,7 +5,9 @@ import pytest
 
 from infbench.baselearners import LogisticRegression
 from infbench.baselearners.logistic import loss_and_gradient, softmax
-from infbench.errors import ConvergenceWarning, NotFitted
+from infbench.bench.ingest import ingest_csv
+from infbench.bench.registry import bundled_manifest_path, load_registry
+from infbench.errors import ConvergenceWarning, InfbenchError, NotFitted
 
 
 def numeric_gradient(W, b, X, y, l2, step=1e-5):
@@ -146,6 +148,13 @@ def test_constant_feature_is_harmless():
     assert float(np.mean(model.predict(X) == y)) >= 0.95
 
 
+@pytest.mark.parametrize("l2", [0.0, -1e-4, float("nan")])
+def test_fit_without_a_positive_penalty_is_rejected(blobs3, l2):
+    X, y = blobs3
+    with pytest.raises(InfbenchError, match="l2 > 0"):
+        LogisticRegression(l2=l2).fit(X, y)
+
+
 def test_unfitted_errors():
     with pytest.raises(NotFitted):
         LogisticRegression().predict(np.ones((2, 2)))
@@ -162,8 +171,8 @@ def test_state_roundtrip(blobs3):
 def test_stopping_at_max_iter_warns(blobs3):
     X, y = blobs3
     with pytest.warns(ConvergenceWarning):
-        model = LogisticRegression(max_iter=5).fit(X, y)
-    assert model.n_iter_ == 5
+        model = LogisticRegression(max_iter=1).fit(X, y)
+    assert model.n_iter_ == model.max_iter
 
 
 def test_converging_fit_does_not_warn():
@@ -176,3 +185,36 @@ def test_converging_fit_does_not_warn():
         warnings.simplefilter("error", ConvergenceWarning)
         model = LogisticRegression().fit(data.X, data.y)
     assert model.n_iter_ < model.max_iter
+
+
+BUNDLED = {spec.dataset_id: spec for spec in load_registry(bundled_manifest_path())}
+
+
+@pytest.fixture(scope="module", params=sorted(BUNDLED))
+def bundled_fit(request):
+    """Each bundled table and the default fit on it, which must not warn."""
+    data = ingest_csv(BUNDLED[request.param])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        return data, LogisticRegression().fit(data.X, data.y)
+
+
+def test_bundled_tables_converge_in_few_newton_steps(bundled_fit):
+    _, model = bundled_fit
+    assert 1 <= model.n_iter_ <= 20
+
+
+def test_fitted_coefficients_zero_the_gate_gradient(bundled_fit):
+    # the solver stops on the same function gate 04 checks against finite
+    # differences, evaluated on the standardized inputs the fit saw
+    data, model = bundled_fit
+    Z = (data.X - model.mean_) / model.scale_
+    y_idx = model.classes_.encode(data.y)
+    _, grad_W, grad_b = loss_and_gradient(model.coef_, model.intercept_, Z, y_idx,
+                                          model.l2)
+    assert max(np.abs(grad_W).max(), np.abs(grad_b).max()) < model.tol
+
+
+def test_fitted_biases_sum_to_zero(bundled_fit):
+    _, model = bundled_fit
+    assert abs(model.intercept_.sum()) <= 1e-12

@@ -19,6 +19,9 @@ updates that file in the same diff.
 Run from the repository root (it takes about a minute on two CPUs):
 
     python3 scripts/oracle.py
+
+``tests/test_oracle.py`` checks the ten train and predict digests, which take
+a few seconds, in the test suite; ``results.json`` is left to this script.
 """
 
 from __future__ import annotations
@@ -60,30 +63,35 @@ def recorded() -> dict:
     return {name: digest for digest, name in (line.split() for line in lines if line)}
 
 
-def main() -> None:
+def model_digests(tmp: Path) -> dict:
+    """name -> digest of the artifact each registered model writes with
+    ``infbench train --seed 7`` on ``synth.xor_cat(n=400)``, and of what
+    ``infbench predict`` prints for that table with it (``<model>.predict``).
+    Works in the directory ``tmp``."""
+    table = xor_cat(n=400)
+    with open(tmp / "xor.csv", "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([table.header, *table.rows])
     digests = {}
+    for model_id in MODELS:
+        infbench("train", "--model", model_id, "--data", "xor.csv",
+                 "--target", table.target, "--seed", "7",
+                 "--out", f"{model_id}.json", cwd=tmp)
+        digests[model_id] = sha256(tmp / f"{model_id}.json")
+        out = infbench("predict", "--model-file", f"{model_id}.json",
+                       "--data", "xor.csv", cwd=tmp)
+        digests[f"{model_id}.predict"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    return digests
+
+
+def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         infbench("bench", "--seed", "42", "--folds", "5", "--workers", "2",
                  "--out", "bench", cwd=tmp)
-        digests["results.json"] = sha256(tmp / "bench" / "results.json")
-        print(f"{digests['results.json']}  results.json "
-              "(bench --seed 42 --folds 5 --workers 2)")
-
-        table = xor_cat(n=400)
-        with open(tmp / "xor.csv", "w", newline="", encoding="utf-8") as f:
-            csv.writer(f).writerows([table.header, *table.rows])
-        for model_id in MODELS:
-            infbench("train", "--model", model_id, "--data", "xor.csv",
-                     "--target", table.target, "--seed", "7",
-                     "--out", f"{model_id}.json", cwd=tmp)
-            digests[model_id] = sha256(tmp / f"{model_id}.json")
-            print(f"{digests[model_id]}  {model_id} (train --seed 7 on xor_cat n=400)")
-            out = infbench("predict", "--model-file", f"{model_id}.json",
-                           "--data", "xor.csv", cwd=tmp)
-            name = f"{model_id}.predict"
-            digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
-            print(f"{digests[name]}  {name} (predict on the same table)")
+        digests = {"results.json": sha256(tmp / "bench" / "results.json"),
+                   **model_digests(tmp)}
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
 
     expected = recorded()
     wrong = [f"{name}: {digests.get(name, 'not computed')}, recorded "

@@ -6,10 +6,15 @@ of the node's sample multiset: independent of row order, summation order, and
 platform rounding.  Thresholds are midpoints between consecutive distinct
 sorted values of a feature; ties between equally good splits go to the lowest
 feature index, then the lowest threshold.
+
+Trees grow breadth first, all trees of a fit together: each depth level's
+nodes are searched in a few blocks over arrays, and a fitted tree's nodes are
+numbered in that level order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -65,17 +70,25 @@ def feature_subsets(rng: np.random.Generator, n: int, k: int):
         chunk = min(2 * chunk, cap)
 
 
-def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf: int) -> list:
-    """Best split of each of ``nodes``, scored together in one segmented search.
+def _columns(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The columns ``starts[i]`` to ``starts[i] + sizes[i]`` of every i, end to end."""
+    end = np.cumsum(sizes)
+    return np.repeat(starts - (end - sizes), sizes) + np.arange(end[-1] if end.size else 0)
 
-    A node is ``(sample, feats)``: its sample as ``grow_trees`` takes it, and
-    its ascending candidate columns, as many for every node.  ``ranks[f, r]``
-    is the dense rank of ``X[r, f]`` among column f's distinct values.
-    Returns, per node, None or ``(feature, threshold, left, right)``, each
-    child as ``(sample, class_counts, size, classes_present)``: its sample, its
-    class counts and their sum as ints, and how many counts are nonzero.
-    Nodes holding more than ``BLOCK_PAIRS`` (distinct row, candidate, class)
-    triples between them are searched in halves, to bound memory.
+
+def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_samples_leaf: int):
+    """Best split of each node of a block, scored together in one segmented
+    search.
+
+    ``sample`` holds the nodes' samples end to end, each as ``grow_trees``
+    takes it: node i's is the next ``sizes[i]`` columns.  Row i of ``feats``
+    holds node i's ascending candidate columns, as many for every node.
+    ``ranks[f, r]`` is the dense rank of ``X[r, f]`` among column f's distinct
+    values.  Returns ``(node, feature, threshold, children, child_sizes,
+    child_counts)`` for the nodes that split, in ascending order of node:
+    ``children`` holds their children's samples end to end, each left child
+    before its right sibling, and ``child_sizes`` and ``child_counts`` hold
+    each child's number of distinct rows and its class counts, in that order.
 
     Minimizing weighted child Gini is equivalent to maximizing
     q = sum(left_counts^2)/n_l + sum(right_counts^2)/n_r, a ratio of small
@@ -86,25 +99,18 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf
     applies tie-breaking, and the positive-gain test (q > sum(counts^2)/n) is
     exact as well.
     """
-    sizes = np.fromiter((s.shape[1] for s, _ in nodes), np.int64, len(nodes))
-    if len(nodes) > 1 and sizes.sum() * len(nodes[0][1]) * n_classes > BLOCK_PAIRS:
-        half = len(nodes) // 2
-        return (_search_nodes(X, ranks, y_idx, n_classes, nodes[:half], min_samples_leaf)
-                + _search_nodes(X, ranks, y_idx, n_classes, nodes[half:], min_samples_leaf))
-    n = int(sizes.sum())
+    n = sample.shape[1]
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    seg = np.repeat(np.arange(len(nodes)), sizes)  # each row's node
-    sample = np.concatenate([s for s, _ in nodes], axis=1)
+    seg = np.repeat(np.arange(sizes.size), sizes)  # each row's node
     rows, mult = sample
-    feats = np.array([f for _, f in nodes])
     # each row's class counts: its multiplicity, in its class's column
     counts = np.zeros((n, n_classes), dtype=np.int64)
     counts[np.arange(n), y_idx[rows]] = mult
     total = np.add.reduceat(counts, starts)  # each node's class counts
     # One int64 key per (candidate, row): node, then value rank, then the
     # row's position in its low bits, which the sort carries along.  The key
-    # stays below len(nodes) * X.shape[0] * 2n, within int64 for any X whose
+    # stays below len(sizes) * X.shape[0] * 2n, within int64 for any X whose
     # row indices fit in int32.
     shift = n.bit_length()
     at = np.repeat(feats.T * X.shape[0], sizes, axis=1)
@@ -128,6 +134,7 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf
     running = np.take(counts, pos.T, axis=0)
     np.cumsum(running, axis=0, out=running)
     left = np.take(running.reshape(-1, n_classes), bp * feats.shape[1] + bj, axis=0)
+    del running
     left -= (np.cumsum(total, axis=0) - total)[m]
     right = total[m] - left
     n_l = left.sum(axis=1)
@@ -136,7 +143,7 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf
     L2 = np.einsum("bc,bc->b", left, left)
     R2 = np.einsum("bc,bc->b", right, right)
     q = np.where(ok, L2 / n_l + R2 / n_r, -np.inf)
-    qmax = np.full(len(nodes), -np.inf)
+    qmax = np.full(sizes.size, -np.inf)
     np.maximum.at(qmax, m, q)
     # Within 1e-12 relative of the node's float max; actual float error is
     # ~1e-15, so the set is tiny and always contains the exact maximum.
@@ -152,13 +159,10 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf
     # a winner must strictly reduce impurity: q > sum(counts^2) / n, exactly
     node_n = total.sum(axis=1).tolist()
     node_sq = np.einsum("nc,nc->n", total, total).tolist()
-    wins = [(mb, b) for mb, (num, den, b) in best.items()
+    wins = [(mb, b) for mb, (num, den, b) in sorted(best.items())
             if num * node_n[mb] > den * node_sq[mb]]
-    found = [None] * len(nodes)
-    if not wins:
-        return found
 
-    w, b = np.array(wins).T
+    w, b = np.array(wins, dtype=np.int64).reshape(-1, 2).T
     j, p = bj[b], bp[b]
     feature = feats[w, j]
     lo, hi = X[rows[pos[j, p]], feature], X[rows[pos[j, p + 1]], feature]
@@ -168,24 +172,12 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, nodes: list, min_samples_leaf
     # which would silently move the right run into the left child.
     threshold = np.where(mid < hi, mid, lo)
     # each winner's rows in the order of its winning column, winner after
-    # winner: [first, cut) is its left child and [cut, end) its right
+    # winner: the first p - start + 1 are its left child, the rest its right
     size = sizes[w]
-    end = np.cumsum(size)
-    first = end - size
-    cut = first + p - starts[w] + 1
-    at = np.repeat(j * n + starts[w] - first, size) + np.arange(end[-1])
-    ordered = sample[:, np.take(pos, at)]
-    left, right = left[b], right[b]
-    # A left child is searched next step, but a right child waits for its
-    # sibling's subtree; as a copy, it does not hold the whole step's rows.
-    for mb, f, t, lc, rc, nl, nr, pl, pr, a, c, e in zip(
-            w.tolist(), feature.tolist(), threshold.tolist(), left.tolist(),
-            right.tolist(), n_l[b].tolist(), n_r[b].tolist(),
-            np.count_nonzero(left, axis=1).tolist(),
-            np.count_nonzero(right, axis=1).tolist(),
-            first.tolist(), cut.tolist(), end.tolist()):
-        found[mb] = (f, t, (ordered[:, a:c], lc, nl, pl), (ordered[:, c:e].copy(), rc, nr, pr))
-    return found
+    n_left = p - starts[w] + 1
+    return (w, feature, threshold, sample[:, pos.ravel()[_columns(j * n + starts[w], size)]],
+            np.stack([n_left, size - n_left], axis=1).ravel(),
+            np.stack([left[b], right[b]], axis=1).reshape(-1, n_classes))
 
 
 def whole_sample(n_rows: int) -> np.ndarray:
@@ -245,27 +237,26 @@ MAX_SAVED_DEPTH = 500
 
 
 class TreeModel:
-    """Fitted tree as parallel node arrays in DFS preorder, root at index 0.
+    """Fitted tree as parallel node arrays in level order: by depth, then left
+    to right, root at index 0.
 
-    An internal node routes a row left iff ``x[feature] <= threshold``.  A
-    leaf has ``left == right ==`` its own index and holds the class counts of
-    its training rows in ``counts`` (internal nodes hold zeros there).
-    ``depth`` is the longest root-to-leaf path.
+    An internal node routes a row left iff ``x[feature] <= threshold``; its
+    left child is node ``left`` and its right child node ``right``, the next
+    one.  A leaf has ``left == right ==`` its own index and holds the class
+    counts of its training rows in ``counts`` (internal nodes hold zeros
+    there).  ``depth`` is the longest root-to-leaf path.
     """
 
     roots = np.zeros(1, dtype=np.int64)
 
-    def __init__(self, nodes: list, counts: list, depth: int, n_classes: int,
+    def __init__(self, feature, threshold, left, counts, depth: int, n_classes: int,
                  n_features: int):
-        """``nodes`` holds each node's ``(feature, threshold, left, right)`` in
-        preorder; ``counts`` the nodes' class counts, concatenated in that order."""
-        n = len(nodes)
-        feature, threshold, left, right = zip(*nodes)
-        self.feature = np.fromiter(feature, np.int64, n)
-        self.threshold = np.fromiter(threshold, np.float64, n)
-        self.left = np.fromiter(left, np.int64, n)
-        self.right = np.fromiter(right, np.int64, n)
-        self.counts = np.fromiter(counts, np.int64, n * n_classes).reshape(n, n_classes)
+        """Take the node arrays in level order; ``right`` follows from ``left``."""
+        self.feature = np.asarray(feature, np.int64)
+        self.threshold = np.asarray(threshold, np.float64)
+        self.left = np.asarray(left, np.int64)
+        self.right = self.left + (self.left != np.arange(self.left.size))
+        self.counts = np.asarray(counts, np.int64).reshape(-1, n_classes)
         self.depth = depth
         self.n_classes = n_classes
         self.n_features = n_features
@@ -287,8 +278,8 @@ class TreeModel:
         """Nested ``{feature, threshold, left, right}`` / ``{counts}`` form."""
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right, counts = self.left.tolist(), self.right.tolist(), self.counts.tolist()
-        # children follow their parent in preorder, so a reverse sweep meets
-        # both subtrees of a split before the split itself
+        # children follow their parent, so a reverse sweep meets both
+        # children of a split before the split itself
         node = [None] * len(left)
         for i in reversed(range(len(left))):
             if left[i] == i:
@@ -310,33 +301,32 @@ class TreeModel:
     def from_dict(cls, d: dict) -> "TreeModel":
         """Inverse of ``to_dict``; raises ValueError on a malformed tree."""
         n_classes, n_features = int(d["n_classes"]), int(d["n_features"])
-        nodes, counts = [], []
+        feature, threshold, left, counts = [], [], [], []
         zeros = [0] * n_classes
-
-        def conv(node, depth):
-            """Append the subtree in preorder; return its deepest leaf's depth."""
-            i = len(nodes)
+        # a queue in level order: the nodes listed so far, and their depths
+        nodes, depths = [d["root"]], [0]
+        for i, node in enumerate(nodes):
             if "counts" in node:
                 c = node["counts"]
                 if len(c) != n_classes:
                     raise ValueError(f"leaf has {len(c)} counts, expected "
                                      f"n_classes={n_classes}")
-                nodes.append((0, 0.0, i, i))
+                feature.append(0)
+                threshold.append(0.0)
+                left.append(i)
                 counts.extend(c)
-                return depth
-            if depth >= MAX_SAVED_DEPTH:
+                continue
+            if depths[i] >= MAX_SAVED_DEPTH:
                 raise ValueError(f"tree is deeper than {MAX_SAVED_DEPTH} levels")
-            feature = node["feature"]
-            if not 0 <= feature < n_features:
-                raise ValueError(f"split feature {feature} outside [0, {n_features})")
-            nodes.append(None)  # filled once the left subtree's size is known
+            if not 0 <= node["feature"] < n_features:
+                raise ValueError(f"split feature {node['feature']} outside [0, {n_features})")
+            feature.append(node["feature"])
+            threshold.append(node["threshold"])
+            left.append(len(nodes))
             counts.extend(zeros)
-            deepest = conv(node["left"], depth + 1)
-            nodes[i] = (feature, node["threshold"], i + 1, len(nodes))
-            return max(deepest, conv(node["right"], depth + 1))
-
-        depth = conv(d["root"], 0)
-        return cls(nodes, counts, depth, n_classes, n_features)
+            nodes += node["left"], node["right"]
+            depths += depths[i] + 1, depths[i] + 1
+        return cls(feature, threshold, left, counts, depths[-1], n_classes, n_features)
 
 
 class TreeStack:
@@ -374,8 +364,8 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
                feature_rngs: list, *, max_depth: int | None = None,
                min_samples_split: int = 2, min_samples_leaf: int = 1,
                max_features=None) -> list:
-    """Grow tree t on sample ``samples[t]`` of X by greedy splitting, depth
-    first, left subtree first.
+    """Grow tree t on sample ``samples[t]`` of X by greedy splitting, one
+    depth level at a time.
 
     A sample is a (2, d) int32 array: d distinct row indices of X over how
     many times each is drawn.  The tree is the one grown on the materialized
@@ -384,68 +374,85 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
 
     At each node the candidate features are a uniform sample without
     replacement from ``feature_rngs[t]`` (all features when the sample size
-    equals the total), drawn in that visiting order by ``feature_subsets``.
-    A passed generator is advanced past the draws its tree used, and
-    possibly further, since they are drawn ahead in chunks.  A node becomes a
-    leaf at ``max_depth``, when pure, or when no admissible split reduces
-    impurity.
-    The trees grow in lockstep: each step searches every unfinished tree's
-    next node in one ``_search_nodes`` call, and no tree sees another's nodes.
+    equals the total), drawn by ``feature_subsets`` for the tree's searched
+    nodes in level order: by depth, then left to right.  A passed generator
+    is advanced past the draws its tree used, and possibly further, since
+    they are drawn ahead in chunks.  A node becomes a leaf at ``max_depth``,
+    when pure, or when no admissible split reduces impurity.
+
+    All trees grow together, and no tree sees another's nodes: each level's
+    nodes, of every tree, are searched in blocks of at most ``BLOCK_PAIRS``
+    (distinct row, candidate, class) triples, or of one node, per
+    ``_search_nodes`` call.  The samples share one int32 buffer, in which a
+    split's children take its columns, left then right.
     """
-    n_features = X.shape[1]
+    n_features, n_trees = X.shape[1], len(samples)
     k = resolve_feature_count(max_features, n_features)
     if k < n_features and any(rng is None for rng in feature_rngs):
         raise InfbenchError("feature subsampling requires a feature_rng")
-    all_feats = np.arange(n_features, dtype=np.int64)
-    zeros = [0] * n_classes
+    draws = [feature_subsets(rng, n_features, k) if k < n_features
+             else itertools.repeat(np.arange(n_features)) for rng in feature_rngs]
     ranks = column_ranks(X)
+    # The level: each node's tree, the columns of ``sample`` that hold its
+    # sample, and its class counts.  Nodes are numbered across all trees in
+    # the order they are made.
+    tree = np.arange(n_trees)
+    sizes = np.fromiter((s.shape[1] for s in samples), np.int64, n_trees)
+    starts = np.cumsum(sizes) - sizes
+    sample = np.concatenate(samples, axis=1)
+    counts = np.stack([np.bincount(y_idx[s[0]], weights=s[1], minlength=n_classes)
+                       for s in samples]).astype(np.int64)
+    depth = np.zeros(n_trees, dtype=np.int64)
+    levels = []  # per level: each node's tree, feature, threshold, left child, counts
+    first, level = 0, 0  # number of the level's first node; its depth
+    while tree.size:
+        depth[tree] = level
+        feature, threshold = np.zeros(tree.size, np.int64), np.zeros(tree.size)
+        left = np.arange(first, first + tree.size)  # a leaf points to itself
+        search = np.flatnonzero((counts.sum(axis=1) >= min_samples_split)
+                                & (np.count_nonzero(counts, axis=1) > 1)
+                                & (max_depth is None or level < max_depth))
+        feats = np.array([next(draws[t]) for t in tree[search].tolist()],
+                         dtype=np.int64).reshape(-1, k)
+        triples = np.cumsum(sizes[search]) * (k * n_classes)
+        won, child_sizes, child_counts = [search[:0]], [], []
+        a = 0
+        while a < search.size:
+            # the longest run of nodes within BLOCK_PAIRS, or one node
+            z = max(a + 1, int(np.searchsorted(
+                triples, BLOCK_PAIRS + (triples[a - 1] if a else 0), side="right")))
+            block = search[a:z]
+            w, f, thr, children, kid_sizes, kid_counts = _search_nodes(
+                X, ranks, y_idx, n_classes, sample[:, _columns(starts[block], sizes[block])],
+                sizes[block], feats[a:z], min_samples_leaf)
+            block = block[w]
+            feature[block], threshold[block] = f, thr
+            sample[:, _columns(starts[block], sizes[block])] = children
+            won.append(block)
+            child_sizes.append(kid_sizes)
+            child_counts.append(kid_counts)
+            a = z
+        won = np.concatenate(won)
+        left[won] = first + tree.size + 2 * np.arange(won.size)
+        counts[won] = 0
+        levels.append((tree, feature, threshold, left, counts))
+        first += tree.size
+        level += 1
+        tree = np.repeat(tree[won], 2)
+        if tree.size:
+            sizes, counts = np.concatenate(child_sizes), np.concatenate(child_counts)
+            starts = np.repeat(starts[won], 2)
+            starts[1::2] += sizes[::2]
 
-    def grow(sample, feature_rng):
-        """One tree: yields each node to search and is sent its split, or None."""
-        nodes, counts = [], []  # preorder (feature, threshold, left, right); counts
-        depth = 0
-        subsets = feature_subsets(feature_rng, n_features, k) if k < n_features else None
-        # (sample, class counts, size, classes present, node depth, index of
-        # the split whose right child it is)
-        root_counts = np.bincount(y_idx[sample[0]], weights=sample[1], minlength=n_classes)
-        stack = [(sample, root_counts.astype(np.int64).tolist(), int(sample[1].sum()),
-                  np.count_nonzero(root_counts), 0, None)]
-        while stack:
-            sample, node_counts, size, present, level, parent = stack.pop()
-            i = len(nodes)
-            if parent is not None:
-                nodes[parent][3] = i
-            split = None
-            if ((max_depth is None or level < max_depth)
-                    and size >= min_samples_split and present > 1):
-                split = yield sample, all_feats if subsets is None else next(subsets)
-            if split is None:
-                nodes.append((0, 0.0, i, i))
-                counts.extend(node_counts)
-                depth = max(depth, level)
-                continue
-            feature, threshold, left, right = split
-            nodes.append([feature, threshold, i + 1, None])
-            counts.extend(zeros)
-            stack.append((*right, level + 1, i))
-            stack.append((*left, level + 1, None))
-        return TreeModel(nodes, counts, depth, n_classes, n_features)
-
-    growths = [grow(sample, rng) for sample, rng in zip(samples, feature_rngs)]
-    trees = [None] * len(growths)
-    sent = dict.fromkeys(range(len(growths)))  # tree -> what its growth is sent next
-    while True:
-        waiting = {}  # tree -> the node it waits to have searched
-        for t, split in sent.items():
-            try:
-                waiting[t] = growths[t].send(split)
-            except StopIteration as done:
-                trees[t] = done.value
-        if not waiting:
-            return trees
-        found = _search_nodes(X, ranks, y_idx, n_classes, list(waiting.values()),
-                              min_samples_leaf)
-        sent = dict(zip(waiting, found))
+    # renumber each tree's nodes from 0, keeping their level order
+    tree, feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    n_nodes = np.bincount(tree, minlength=n_trees)
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
+    return [TreeModel(feature[ids], threshold[ids], local[left[ids]], counts[ids], d,
+                      n_classes, n_features)
+            for ids, d in zip(np.split(order, np.cumsum(n_nodes)[:-1]), depth.tolist())]
 
 
 def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,

@@ -17,7 +17,7 @@ from .bench.evaluate import EvalProtocol, run_benchmark, write_artifacts
 from .bench.ingest import encode_table, infer_kinds, read_csv
 from .bench.registry import bundled_manifest_path, load_registry
 from .bench.scoring import render_leaderboard
-from .errors import InfbenchError
+from .errors import InfbenchError, UnparseableCell
 from .models import MODELS, get_model, select_models
 from .serialize import load_model_artifact, save_model_artifact
 
@@ -135,7 +135,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model_id, est, encoder = load_model_artifact(args.model_file)
     header, rows = read_csv(args.data)
-    X = encoder.transform(header, rows)
+    try:
+        X = encoder.transform(header, rows)
+    except UnparseableCell as e:
+        raise UnparseableCell(e.column, e.row, e.value, str(args.data)) from None
     labels = est.predict(X)
     text = "\n".join(str(v) for v in labels) + "\n"
     if args.out is not None:

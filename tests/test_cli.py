@@ -492,6 +492,17 @@ def test_unparseable_cell_names_its_dataset(registry, tmp_path):
     assert code == 1
     assert len(err) == 1
     assert "dataset bad: column 'f1', data row 2: cannot parse 'nan'" in err[0]
+    # predict names the CSV it was given
+    model = tmp_path / "model.json"
+    assert _main_quietly(["train", "--model", "decision_tree", "--data",
+                          str(tmp_path / "a.csv"), "--target", "label",
+                          "--out", str(model)])[0] == 0
+    code, err = _main_quietly(["predict", "--model-file", str(model),
+                               "--data", str(tmp_path / "bad.csv")])
+    err = err.splitlines()
+    assert code == 1
+    assert len(err) == 1
+    assert f"{tmp_path / 'bad.csv'}: column 'f1', data row 2: cannot parse 'nan'" in err[0]
 
 
 def test_bench_out_that_is_a_file_exits_1_before_the_grid(registry, tmp_path, capsys):

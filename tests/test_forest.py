@@ -210,7 +210,7 @@ def test_tree_dict_round_trip_keeps_every_node_array(case):
             tree.depth, tree.n_classes, tree.n_features)
 
 
-# -- lockstep growth against one tree at a time --------------------------------
+# -- growth together against one tree at a time ---------------------------------
 
 def assert_each_tree_is_grown_alone(forest, X, y):
     """Fit ``forest`` and check every tree against ``grow_tree`` run by itself
@@ -255,16 +255,17 @@ def test_small_search_blocks_grow_the_same_trees(monkeypatch):
     calls = []  # (nodes, distinct rows) of each search
     search = tree_module._search_nodes
 
-    def spy(X, ranks, y_idx, n_classes, nodes, min_samples_leaf):
-        calls.append((len(nodes), sum(sample.shape[1] for sample, _ in nodes)))
-        return search(X, ranks, y_idx, n_classes, nodes, min_samples_leaf)
+    def spy(X, ranks, y_idx, n_classes, sample, sizes, feats, min_samples_leaf):
+        calls.append((sizes.size, sample.shape[1]))
+        return search(X, ranks, y_idx, n_classes, sample, sizes, feats, min_samples_leaf)
 
     monkeypatch.setattr(tree_module, "_search_nodes", spy)
     monkeypatch.setattr(tree_module, "BLOCK_PAIRS", 60)
     for cls in (RandomForest, DirectionalForest):
         forest = cls(n_estimators=8, min_samples_leaf=2, max_features=1, seed=11)
         assert_each_tree_is_grown_alone(forest, X, y)
-    # 60 // (1 candidate * 3 classes) = 20 distinct rows: a step's nodes are
-    # searched in halves until a block holds at most 20 of them or one node
-    assert any(n > 1 and rows > 20 for n, rows in calls)
-    assert any(n > 1 and rows <= 20 for n, rows in calls)
+    # 60 // (1 candidate * 3 classes) = 20 distinct rows: a level's nodes are
+    # searched in blocks of at most 20 of them, or of one node
+    assert all(n == 1 or rows <= 20 for n, rows in calls)
+    assert any(n > 1 for n, rows in calls)
+    assert any(n == 1 and rows > 20 for n, rows in calls)

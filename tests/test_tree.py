@@ -1,6 +1,6 @@
 """Decision tree tests, including the exact brute-force split oracle."""
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -303,6 +303,15 @@ def as_multiset(sample) -> list:
     return sorted(map(tuple, sample.T.tolist()))
 
 
+def search(X, ranks, y, C, nodes, min_samples_leaf):
+    """``_search_nodes`` on ``nodes``, a list of ``(sample, feats)``, laid end
+    to end as ``grow_trees`` lays out a block."""
+    return tree_module._search_nodes(
+        X, ranks, y, C, np.hstack([sample for sample, _ in nodes]),
+        np.array([sample.shape[1] for sample, _ in nodes]),
+        np.array([feats for _, feats in nodes]), min_samples_leaf)
+
+
 @given(search_case())
 @example((ADJACENT, np.array([0, 1, 1]), 2,
           [(np.array([[2, 0, 1], [1, 2, 1]], dtype=np.int32), np.array([0])),
@@ -311,25 +320,107 @@ def as_multiset(sample) -> list:
 def test_search_children_partition_their_parent(case):
     X, y, C, nodes, min_samples_leaf = case
     ranks = tree_module.column_ranks(X)
-    found = tree_module._search_nodes(X, ranks, y, C, nodes, min_samples_leaf)
-    assert len(found) == len(nodes)
-    for (sample, feats), split in zip(nodes, found):
-        alone = tree_module._search_nodes(X, ranks, y, C, [(sample, feats)], min_samples_leaf)
-        if split is None:
-            assert alone == [None]
+    node, feature, threshold, children, sizes, counts = search(X, ranks, y, C, nodes,
+                                                               min_samples_leaf)
+    assert node.tolist() == sorted(set(node.tolist()))
+    assert sizes.size == counts.shape[0] == 2 * node.size
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    assert bounds[-1] == children.shape[1]
+    for i, (sample, feats) in enumerate(nodes):
+        alone = search(X, ranks, y, C, [(sample, feats)], min_samples_leaf)
+        if i not in node:
+            assert alone[0].size == 0
             continue
-        feature, threshold, left, right = split
-        assert feature in feats.tolist()
-        assert as_multiset(np.hstack([left[0], right[0]])) == as_multiset(sample)
-        for child, side in ((left, np.less_equal), (right, np.greater)):
-            child_sample, counts, size, present = child
-            rows, mult = child_sample
+        r = node.tolist().index(i)
+        left, right = (children[:, bounds[c]:bounds[c + 1]] for c in (2 * r, 2 * r + 1))
+        assert feature[r] in feats.tolist()
+        assert as_multiset(np.hstack([left, right])) == as_multiset(sample)
+        for child, child_counts, side in ((left, counts[2 * r], np.less_equal),
+                                          (right, counts[2 * r + 1], np.greater)):
+            rows, mult = child
             want = np.bincount(y[rows], weights=mult, minlength=C).astype(np.int64)
-            assert counts == want.tolist()
-            assert size == sum(counts) >= min_samples_leaf
-            assert present == np.count_nonzero(want)
-            assert side(X[rows, feature], threshold).all()
-        (a_feature, a_threshold, a_left, a_right), = alone
-        assert (a_feature, a_threshold) == (feature, threshold)
-        for a, b in ((a_left, left), (a_right, right)):
-            assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+            assert child_counts.tolist() == want.tolist()
+            assert want.sum() >= min_samples_leaf
+            assert side(X[rows, feature[r]], threshold[r]).all()
+        a_node, a_feature, a_threshold, a_children, a_sizes, a_counts = alone
+        assert a_node.tolist() == [0]
+        assert (a_feature[0], a_threshold[0]) == (feature[r], threshold[r])
+        assert np.array_equal(a_children, np.hstack([left, right]))
+        assert a_sizes.tolist() == sizes[2 * r:2 * r + 2].tolist()
+        assert np.array_equal(a_counts, counts[2 * r:2 * r + 2])
+
+
+# -- level-order growth against a one-node-at-a-time reference ---------------------
+
+def reference_tree(X, y, C, *, feature_rng=None, max_depth=None, min_samples_split=2,
+                   min_samples_leaf=1, max_features=None):
+    """One tree grown node by node from a queue: each node is searched by
+    ``_search_nodes`` alone and, when searched, takes the next subset of
+    ``feature_subsets``, so the subsets go to the nodes in level order.
+    Returns the node arrays, numbered in that order, and the depth."""
+    F = X.shape[1]
+    k = tree_module.resolve_feature_count(max_features, F)
+    draws = feature_subsets(feature_rng, F, k) if k < F else None
+    ranks = tree_module.column_ranks(X)
+    queue = deque([(tree_module.whole_sample(X.shape[0]), 0)])
+    feature, threshold, left, right, counts, depth = [], [], [], [], [], 0
+    while queue:
+        sample, level = queue.popleft()
+        i = len(feature)
+        c = np.bincount(y[sample[0]], weights=sample[1], minlength=C).astype(np.int64)
+        depth = max(depth, level)
+        split = None
+        if ((max_depth is None or level < max_depth) and c.sum() >= min_samples_split
+                and np.count_nonzero(c) > 1):
+            feats = np.arange(F) if draws is None else next(draws)
+            split = search(X, ranks, y, C, [(sample, feats)], min_samples_leaf)
+        if split is None or split[0].size == 0:
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+            counts.append(c)
+            continue
+        _, f, t, children, sizes, _ = split
+        child = i + 1 + len(queue)  # numbered after every node already queued
+        feature.append(int(f[0]))
+        threshold.append(float(t[0]))
+        left.append(child)
+        right.append(child + 1)
+        counts.append(np.zeros(C, dtype=np.int64))
+        queue.append((children[:, :sizes[0]], level + 1))
+        queue.append((children[:, sizes[0]:], level + 1))
+    arrays = {"feature": np.array(feature, dtype=np.int64),
+              "threshold": np.array(threshold, dtype=np.float64),
+              "left": np.array(left, dtype=np.int64), "right": np.array(right, dtype=np.int64),
+              "counts": np.array(counts, dtype=np.int64)}
+    return arrays, depth
+
+
+@st.composite
+def growth_case(draw):
+    """A small table with coarse values (duplicates and exact ties), a feature
+    seed, and tree settings."""
+    n = draw(st.integers(2, 40))
+    f = draw(st.integers(1, 6))
+    C = draw(st.integers(2, 3))
+    X = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=f, max_size=f),
+                               min_size=n, max_size=n)), dtype=np.float64) / 2.0
+    y = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)))
+    params = {"max_features": draw(st.sampled_from(["sqrt", 1, None])),
+              "max_depth": draw(st.sampled_from([None, 0, 1, 3])),
+              "min_samples_split": draw(st.integers(2, 6)),
+              "min_samples_leaf": draw(st.integers(1, 3))}
+    return X, y, C, draw(st.integers(0, 2**32)), params
+
+
+@given(growth_case())
+@settings(max_examples=80, deadline=None)
+def test_level_order_growth_matches_the_queue_reference(case):
+    X, y, C, seed, params = case
+    tree = grow_tree(X, y, C, feature_rng=np.random.default_rng(seed), **params)
+    want, depth = reference_tree(X, y, C, feature_rng=np.random.default_rng(seed), **params)
+    for name, array in want.items():
+        got = getattr(tree, name)
+        assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
+    assert tree.depth == depth

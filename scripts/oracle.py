@@ -1,8 +1,8 @@
 """Print the regression oracle of this checkout and check it against the
 recorded one.
 
-Two sets of sha256 digests, each of which a behaviour-preserving change must
-leave as it is:
+Three sets of sha256 digests, each of which a behaviour-preserving change
+must leave as it is:
 
 * ``results.json`` of ``infbench bench --seed 42 --folds 5 --workers 2`` on
   the bundled registry, with ``SOURCE_DATE_EPOCH=0``;

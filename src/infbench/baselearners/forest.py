@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import check_fit_inputs, derive_seed, resolve_seed, rng_from
-from .tree import TreeEnsemble, whole_sample
+from ..core import check_fit_inputs, splitmix64
+from . import tree
+from .tree import TreeEnsemble, whole_samples
 
 
 def plurality_vote(votes: np.ndarray) -> np.ndarray:
@@ -22,12 +23,38 @@ def plurality_vote(votes: np.ndarray) -> np.ndarray:
     return np.argmax(tally, axis=1)
 
 
+def bootstrap(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One bootstrap sample of n rows per tree key, as ``grow_trees`` takes
+    samples: the (2, d) int32 array of each tree's distinct rows, ascending,
+    over their multiplicities, tree after tree, and each tree's d.
+
+    Draw j of the tree of key K is row ``(h >> 32) * n >> 32`` of the hash
+    ``h = derive_seed(derive_seed(K, 0), j)``, stream 0 under the key.  This
+    32-bit multiply-shift takes n < 2^32 and gives each row a probability
+    within 2^-32 of 1/n, a relative bias below n / 2^32 per draw.  The trees
+    are tallied with one offset ``bincount`` per chunk of about
+    ``BLOCK_PAIRS`` (tree, draw) pairs, or of one tree.
+    """
+    step = max(1, tree.BLOCK_PAIRS // n)
+    tallies = []  # per chunk: tree * n + row, and multiplicity, of each drawn row
+    for a in range(0, keys.size, step):
+        h = splitmix64(splitmix64(keys[a:a + step], 0)[:, None], np.arange(n))
+        drawn = ((h >> np.uint64(32)) * np.uint64(n) >> np.uint64(32)).astype(np.int64)
+        tally = np.bincount((drawn + n * np.arange(len(h))[:, None]).ravel(), minlength=h.size)
+        at = np.flatnonzero(tally)
+        tallies.append(np.stack([a * n + at, tally[at]]))
+    at, mult = np.concatenate(tallies, axis=1)
+    return np.stack([at % n, mult]).astype(np.int32), np.bincount(at // n, minlength=keys.size)
+
+
 class RandomForest(TreeEnsemble):
     """Random forest: bootstrap rows per tree, sqrt feature sampling per node.
 
-    Tree i draws its bootstrap sample from the stream ``derive_seed(seed, i)``
-    and its per-node feature subsets from a child stream of that, so the
-    ensemble is reproducible tree by tree and invariant to fitting order.
+    Tree i's key is ``derive_seed(seed, i)``.  Stream 0 under it draws the
+    tree's bootstrap (``bootstrap``) and stream 1 + o the candidates of its
+    o-th searched node (``tree.node_features``), so every draw is a hash of
+    integers: the ensemble is reproducible tree by tree and each tree is the
+    one grown alone.
     """
 
     kind = "random_forest"
@@ -46,19 +73,9 @@ class RandomForest(TreeEnsemble):
 
     def fit(self, X, y) -> "RandomForest":
         A, y_idx, classes = check_fit_inputs(X, y)
-        base = resolve_seed(self.seed)
-        n = A.shape[0]
-        samples, seeds = [], []
-        for i in range(self.n_estimators):
-            tree_seed = derive_seed(base, i)
-            if self.bootstrap:
-                drawn = np.bincount(rng_from(tree_seed).integers(0, n, size=n), minlength=n)
-                rows = np.flatnonzero(drawn)
-                samples.append(np.stack([rows, drawn[rows]]).astype(np.int32))
-            else:
-                samples.append(whole_sample(n))
-            seeds.append(derive_seed(tree_seed, 1))
-        return self.grow(A, y_idx, classes, samples, seeds)
+        keys, n = self.tree_keys(self.n_estimators), A.shape[0]
+        sample, sizes = bootstrap(keys, n) if self.bootstrap else whole_samples(n, keys.size)
+        return self.grow(A, y_idx, classes, sample, sizes, keys)
 
     def predict_proba(self, X) -> np.ndarray:
         return self.mean_proba(self._check_predict_input(X))

@@ -10,16 +10,24 @@ feature index, then the lowest threshold.
 Trees grow breadth first, all trees of a fit together: each depth level's
 nodes are searched in a few blocks over arrays, and a fitted tree's nodes are
 numbered in that level order.
+
+Every random draw is a counter-based hash (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011), ``derive_seed`` of integers.  Stream
+0 under a tree's 64-bit key is its bootstrap, if it has one
+(``forest.bootstrap``), and stream 1 + o is the o-th node it searches in
+level order: that node's candidates are the k features f with the smallest
+``derive_seed(derive_seed(key, 1 + o), f)``, distinct hashes since the mix is
+a bijection, so a uniform k-subset.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
-from ..core import Estimator, check_fit_inputs, finite_floats, resolve_seed, rng_from
+from ..core import Estimator, check_fit_inputs, finite_floats, resolve_seed, splitmix64
 from ..errors import InfbenchError
 
 
@@ -37,37 +45,18 @@ def resolve_feature_count(max_features, n_features: int) -> int:
     return k
 
 
-def feature_subsets(rng: np.random.Generator, n: int, k: int):
-    """Yield ``np.sort(rng.choice(n, k, replace=False))`` again and again, for
-    1 <= k < n: the same arrays from the same stream, drawn in bulk.
+def node_features(node_keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
+    """Each node's k candidate features, ascending, shape (nodes, k): the k
+    features f with the smallest ``splitmix64(node key, f)``, for 1 <= k < n.
 
-    Where numpy's ``choice`` runs Floyd's algorithm (Bentley & Floyd, CACM
-    1987), i.e. unless n > 10000 and k > n // 50, one call makes k bounded
-    draws in [0, j] for j = n-k ... n-1, each taking j instead when it hits a
-    value already taken, then shuffles them with k-1 draws in [0, i] for
-    i = k-1 ... 1.  Every one is a Lemire draw, as ``Generator.integers`` makes
-    with an array bound, so one ``integers`` call yields the draws of many
-    calls in stream order.  Chunks start at 64 subsets and double, up to
-    about ``BLOCK_PAIRS`` draws and flags; the stream moves a chunk at a time.
-    numpy's other branch, a tail shuffle, runs ``choice`` itself.
+    The (node, feature) hashes are made in chunks of about ``BLOCK_PAIRS``.
     """
-    if n > 10000 and k > n // 50:
-        while True:
-            yield np.sort(rng.choice(n, size=k, replace=False))
-    bound = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)]) + 1
-    chunk, cap = 64, max(64, BLOCK_PAIRS // n)
-    while True:
-        draws = rng.integers(0, np.tile(bound, chunk)).reshape(chunk, -1)
-        taken = np.zeros((chunk, n), dtype=bool)
-        at = np.arange(chunk)
-        for s in range(k):
-            drawn = draws[:, s]
-            drawn[taken[at, drawn]] = n - k + s
-            taken[at, drawn] = True
-        sets = np.sort(draws[:, :k], axis=1)
-        del draws, taken, drawn  # hold only the sets while they are handed out
-        yield from sets
-        chunk = min(2 * chunk, cap)
+    feats = np.empty((node_keys.size, k), dtype=np.int64)
+    step = max(1, BLOCK_PAIRS // n_features)
+    for a in range(0, node_keys.size, step):
+        h = splitmix64(node_keys[a:a + step, None], np.arange(n_features))
+        feats[a:a + step] = np.sort(np.argpartition(h, k - 1, axis=1)[:, :k], axis=1)
+    return feats
 
 
 def _columns(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -180,9 +169,11 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_sam
             np.stack([left[b], right[b]], axis=1).reshape(-1, n_classes))
 
 
-def whole_sample(n_rows: int) -> np.ndarray:
-    """The sample of every row drawn once, as ``grow_trees`` takes it."""
-    return np.stack([np.arange(n_rows, dtype=np.int32), np.ones(n_rows, np.int32)])
+def whole_samples(n_rows: int, n_trees: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``n_trees`` samples of every row drawn once, and their sizes, as
+    ``grow_trees`` takes them."""
+    sample = np.stack([np.arange(n_rows, dtype=np.int32), np.ones(n_rows, np.int32)])
+    return np.tile(sample, n_trees), np.full(n_trees, n_rows)
 
 
 def column_ranks(X: np.ndarray) -> np.ndarray:
@@ -216,9 +207,9 @@ def descend(nodes, X: np.ndarray) -> np.ndarray:
 
 
 # (tree, row) pairs per block of ``descend_blocks``, (distinct row,
-# candidate, class) triples per block of ``_search_nodes``, and roughly the
-# draws per chunk of ``feature_subsets``: their working arrays stay within a
-# few hundred kilobytes each, whatever the input size.
+# candidate, class) triples per block of ``_search_nodes``, and the hashes
+# per chunk of ``node_features`` and ``forest.bootstrap``: their working
+# arrays stay within a few hundred kilobytes each, whatever the input size.
 BLOCK_PAIRS = 1 << 15
 
 
@@ -236,46 +227,104 @@ def descend_blocks(nodes, X: np.ndarray):
 MAX_SAVED_DEPTH = 500
 
 
-class TreeModel:
-    """Fitted tree as parallel node arrays in level order: by depth, then left
-    to right, root at index 0.
+class NodeTable:
+    """Fitted trees as parallel node arrays laid end to end, descended together.
 
-    An internal node routes a row left iff ``x[feature] <= threshold``; its
-    left child is node ``left`` and its right child node ``right``, the next
-    one.  A leaf has ``left == right ==`` its own index and holds the class
-    counts of its training rows in ``counts`` (internal nodes hold zeros
-    there).  ``depth`` is the longest root-to-leaf path.
+    Tree t's nodes are ``roots[t]`` up to the next root, in its level order:
+    by depth, then left to right.  An internal node routes a row left iff
+    ``x[feature] <= threshold``; its left child is node ``left`` and its right
+    child node ``right``, the next one.  A leaf has ``left == right ==`` its
+    own index and holds the class counts of its training rows in ``counts``
+    (internal nodes hold zeros there).  ``depths`` holds each tree's longest
+    root-to-leaf path and ``depth`` the largest.  ``proba`` and ``vote`` hold
+    each node's class distribution and argmax, so a model turns leaf indices
+    into outputs with one gather.
     """
 
-    roots = np.zeros(1, dtype=np.int64)
-
-    def __init__(self, feature, threshold, left, counts, depth: int, n_classes: int,
-                 n_features: int):
-        """Take the node arrays in level order; ``right`` follows from ``left``."""
+    def __init__(self, feature, threshold, left, counts, roots, depths, n_features: int):
         self.feature = np.asarray(feature, np.int64)
         self.threshold = np.asarray(threshold, np.float64)
         self.left = np.asarray(left, np.int64)
         self.right = self.left + (self.left != np.arange(self.left.size))
-        self.counts = np.asarray(counts, np.int64).reshape(-1, n_classes)
-        self.depth = depth
-        self.n_classes = n_classes
-        self.n_features = n_features
+        self.counts = np.asarray(counts, np.int64).reshape(self.left.size, -1)
+        self.roots, self.depths = np.asarray(roots, np.int64), np.asarray(depths, np.int64)
+        self.depth = int(self.depths.max())
+        self.n_classes, self.n_features = self.counts.shape[1], n_features
+
+    @cached_property
+    def proba(self) -> np.ndarray:
+        total = self.counts.sum(axis=1, keepdims=True)
+        # internal nodes hold zero counts; their 0/0 is never computed
+        return np.divide(self.counts, total, where=total > 0, out=np.zeros(self.counts.shape))
+
+    @cached_property
+    def vote(self) -> np.ndarray:
+        return np.argmax(self.counts, axis=1)
+
+    @classmethod
+    def from_dicts(cls, trees: list, n_classes: int, n_features: int) -> "NodeTable":
+        """The table of trees in ``TreeModel.to_dict`` form, each of
+        ``n_classes`` and ``n_features``; raises ValueError on a malformed tree."""
+        feature, threshold, left, counts, roots, depths = [], [], [], [], [], []
+        zeros = [0] * n_classes
+        for d in trees:
+            shape = (int(d["n_classes"]), int(d["n_features"]))
+            if shape != (n_classes, n_features):
+                raise ValueError(f"a tree has (n_classes, n_features) {shape}, "
+                                 f"expected {(n_classes, n_features)}")
+            root = len(left)
+            # a queue in level order: the tree's nodes listed so far, and their depths
+            nodes, level = [d["root"]], [0]
+            for i, node in enumerate(nodes):
+                if "counts" in node:
+                    c = node["counts"]
+                    if len(c) != n_classes:
+                        raise ValueError(f"leaf has {len(c)} counts, expected "
+                                         f"n_classes={n_classes}")
+                    feature.append(0)
+                    threshold.append(0.0)
+                    left.append(root + i)
+                    counts.append(c)
+                    continue
+                if level[i] >= MAX_SAVED_DEPTH:
+                    raise ValueError(f"tree is deeper than {MAX_SAVED_DEPTH} levels")
+                if not 0 <= node["feature"] < n_features:
+                    raise ValueError(f"split feature {node['feature']} outside [0, {n_features})")
+                feature.append(node["feature"])
+                threshold.append(node["threshold"])
+                left.append(root + len(nodes))
+                counts.append(zeros)
+                nodes += node["left"], node["right"]
+                level += level[i] + 1, level[i] + 1
+            roots.append(root)
+            depths.append(level[-1])
+        return cls(feature, threshold, left, counts, roots, depths, n_features)
+
+    def trees(self) -> list:
+        """Each tree as its own ``TreeModel``, numbered from its root."""
+        ends = np.append(self.roots[1:], self.left.size).tolist()
+        return [TreeModel(self.feature[a:b], self.threshold[a:b], self.left[a:b] - a,
+                          self.counts[a:b], [0], [d], self.n_features)
+                for a, b, d in zip(self.roots.tolist(), ends, self.depths.tolist())]
+
+
+class TreeModel(NodeTable):
+    """One fitted tree: a node table whose one root is node 0."""
 
     def counts_matrix(self, X: np.ndarray) -> np.ndarray:
         """Leaf class counts for each row, shape (n, C)."""
         return self.counts[descend(self, X)[0]]
 
     def distribution(self, X: np.ndarray) -> np.ndarray:
-        counts = self.counts_matrix(X).astype(np.float64)
-        return counts / counts.sum(axis=1, keepdims=True)
+        return self.proba[descend(self, X)[0]]
 
     def predict_idx(self, X: np.ndarray) -> np.ndarray:
-        # argmax of counts == argmax of the leaf distribution; first maximum
-        # wins, i.e. ties go to the lowest class index
-        return np.argmax(self.counts_matrix(X), axis=1).astype(np.int64)
+        # the leaf's vote, its first argmax: ties go to the lowest class index
+        return self.vote[descend(self, X)[0]]
 
     def to_dict(self) -> dict:
-        """Nested ``{feature, threshold, left, right}`` / ``{counts}`` form."""
+        """Nested ``{feature, threshold, left, right}`` / ``{counts}`` form, which
+        ``NodeTable.from_dicts`` reads back."""
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right, counts = self.left.tolist(), self.right.tolist(), self.counts.tolist()
         # children follow their parent, so a reverse sweep meets both
@@ -297,62 +346,6 @@ class TreeModel:
             "root": node[0],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeModel":
-        """Inverse of ``to_dict``; raises ValueError on a malformed tree."""
-        n_classes, n_features = int(d["n_classes"]), int(d["n_features"])
-        feature, threshold, left, counts = [], [], [], []
-        zeros = [0] * n_classes
-        # a queue in level order: the nodes listed so far, and their depths
-        nodes, depths = [d["root"]], [0]
-        for i, node in enumerate(nodes):
-            if "counts" in node:
-                c = node["counts"]
-                if len(c) != n_classes:
-                    raise ValueError(f"leaf has {len(c)} counts, expected "
-                                     f"n_classes={n_classes}")
-                feature.append(0)
-                threshold.append(0.0)
-                left.append(i)
-                counts.extend(c)
-                continue
-            if depths[i] >= MAX_SAVED_DEPTH:
-                raise ValueError(f"tree is deeper than {MAX_SAVED_DEPTH} levels")
-            if not 0 <= node["feature"] < n_features:
-                raise ValueError(f"split feature {node['feature']} outside [0, {n_features})")
-            feature.append(node["feature"])
-            threshold.append(node["threshold"])
-            left.append(len(nodes))
-            counts.extend(zeros)
-            nodes += node["left"], node["right"]
-            depths += depths[i] + 1, depths[i] + 1
-        return cls(feature, threshold, left, counts, depths[-1], n_classes, n_features)
-
-
-class TreeStack:
-    """The node arrays of several trees laid end to end, descended together.
-
-    Built once per fitted or loaded ensemble.  Besides the arrays ``descend``
-    reads, it holds each node's class distribution and argmax vote, so a
-    model turns leaf indices into outputs with one gather.
-    """
-
-    def __init__(self, trees: list):
-        sizes = [t.feature.size for t in trees]
-        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-        shift = np.repeat(self.roots, sizes)  # each node's tree offset
-        self.feature = np.concatenate([t.feature for t in trees])
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.left = np.concatenate([t.left for t in trees]) + shift
-        self.right = np.concatenate([t.right for t in trees]) + shift
-        self.depth = max(t.depth for t in trees)
-        counts = np.concatenate([t.counts for t in trees])
-        total = counts.sum(axis=1, keepdims=True)
-        # internal nodes hold zero counts; their 0/0 is never computed
-        self.distribution = np.divide(counts, total, where=total > 0,
-                                      out=np.zeros(counts.shape))
-        self.vote = np.argmax(counts, axis=1)
-
 
 def tree_params(est) -> dict:
     """The tree-shape hyperparameters of ``est``, as ``grow_trees`` keywords."""
@@ -360,48 +353,46 @@ def tree_params(est) -> dict:
     return {name: getattr(est, name) for name in names}
 
 
-def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
-               feature_rngs: list, *, max_depth: int | None = None,
+def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, sample: np.ndarray,
+               sizes: np.ndarray, keys: np.ndarray | None, *, max_depth: int | None = None,
                min_samples_split: int = 2, min_samples_leaf: int = 1,
-               max_features=None) -> list:
-    """Grow tree t on sample ``samples[t]`` of X by greedy splitting, one
-    depth level at a time.
+               max_features=None) -> NodeTable:
+    """Grow one tree per entry of ``sizes`` by greedy splitting, one depth
+    level at a time, and return their ``NodeTable``.
 
-    A sample is a (2, d) int32 array: d distinct row indices of X over how
-    many times each is drawn.  The tree is the one grown on the materialized
+    ``sample`` is a (2, d) int32 array of distinct row indices of X over how
+    many times each is drawn, tree after tree: tree t's sample is the next
+    ``sizes[t]`` (int64) columns.  The tree is the one grown on the materialized
     copy ``X[np.repeat(*sample)]``: node sizes, class counts and the split
     criteria all add up multiplicities.
 
-    At each node the candidate features are a uniform sample without
-    replacement from ``feature_rngs[t]`` (all features when the sample size
-    equals the total), drawn by ``feature_subsets`` for the tree's searched
-    nodes in level order: by depth, then left to right.  A passed generator
-    is advanced past the draws its tree used, and possibly further, since
-    they are drawn ahead in chunks.  A node becomes a leaf at ``max_depth``,
-    when pure, or when no admissible split reduces impurity.
+    At each node the candidate features are ``node_features`` of stream
+    1 + o under the tree's entry of the uint64 array ``keys``, for the o-th
+    node the tree searches in level order: by depth, then left to right.
+    With all features as candidates no key is read, and ``keys`` may be None.
+    A node becomes a leaf at ``max_depth``, when pure, or when no admissible
+    split reduces impurity.
 
     All trees grow together, and no tree sees another's nodes: each level's
     nodes, of every tree, are searched in blocks of at most ``BLOCK_PAIRS``
     (distinct row, candidate, class) triples, or of one node, per
-    ``_search_nodes`` call.  The samples share one int32 buffer, in which a
-    split's children take its columns, left then right.
+    ``_search_nodes`` call.  ``sample`` is their one buffer: a split's
+    children take its columns, left then right, in place.
     """
-    n_features, n_trees = X.shape[1], len(samples)
+    n_features, n_trees = X.shape[1], sizes.size
     k = resolve_feature_count(max_features, n_features)
-    if k < n_features and any(rng is None for rng in feature_rngs):
-        raise InfbenchError("feature subsampling requires a feature_rng")
-    draws = [feature_subsets(rng, n_features, k) if k < n_features
-             else itertools.repeat(np.arange(n_features)) for rng in feature_rngs]
+    if k < n_features and keys is None:
+        raise InfbenchError("feature subsampling requires tree keys")
     ranks = column_ranks(X)
     # The level: each node's tree, the columns of ``sample`` that hold its
     # sample, and its class counts.  Nodes are numbered across all trees in
     # the order they are made.
     tree = np.arange(n_trees)
-    sizes = np.fromiter((s.shape[1] for s in samples), np.int64, n_trees)
     starts = np.cumsum(sizes) - sizes
-    sample = np.concatenate(samples, axis=1)
-    counts = np.stack([np.bincount(y_idx[s[0]], weights=s[1], minlength=n_classes)
-                       for s in samples]).astype(np.int64)
+    counts = np.bincount(np.repeat(tree * n_classes, sizes) + y_idx[sample[0]],
+                         weights=sample[1], minlength=n_trees * n_classes)
+    counts = counts.astype(np.int64).reshape(n_trees, n_classes)
+    searched = np.zeros(n_trees, dtype=np.int64)  # each tree's searched nodes so far
     depth = np.zeros(n_trees, dtype=np.int64)
     levels = []  # per level: each node's tree, feature, threshold, left child, counts
     first, level = 0, 0  # number of the level's first node; its depth
@@ -412,8 +403,15 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
         search = np.flatnonzero((counts.sum(axis=1) >= min_samples_split)
                                 & (np.count_nonzero(counts, axis=1) > 1)
                                 & (max_depth is None or level < max_depth))
-        feats = np.array([next(draws[t]) for t in tree[search].tolist()],
-                         dtype=np.int64).reshape(-1, k)
+        if k < n_features:
+            # a level's trees are nondecreasing, so a searched node's ordinal
+            # in its tree is the tree's count so far plus its place in the run
+            ts = tree[search]
+            ordinal = searched[ts] + np.arange(ts.size) - np.searchsorted(ts, ts)
+            searched += np.bincount(ts, minlength=n_trees)
+            feats = node_features(splitmix64(keys[ts], ordinal + 1), n_features, k)
+        else:
+            feats = np.broadcast_to(np.arange(n_features), (search.size, n_features))
         triples = np.cumsum(sizes[search]) * (k * n_classes)
         won, child_sizes, child_counts = [search[:0]], [], []
         a = 0
@@ -444,54 +442,62 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, samples: list,
             starts = np.repeat(starts[won], 2)
             starts[1::2] += sizes[::2]
 
-    # renumber each tree's nodes from 0, keeping their level order
+    # group the nodes by tree, keeping each tree's level order
     tree, feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))
     order = np.argsort(tree, kind="stable")
+    moved = np.empty_like(order)
+    moved[order] = np.arange(order.size)
     n_nodes = np.bincount(tree, minlength=n_trees)
-    local = np.empty_like(order)
-    local[order] = np.arange(order.size) - np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
-    return [TreeModel(feature[ids], threshold[ids], local[left[ids]], counts[ids], d,
-                      n_classes, n_features)
-            for ids, d in zip(np.split(order, np.cumsum(n_nodes)[:-1]), depth.tolist())]
+    return NodeTable(feature[order], threshold[order], moved[left[order]], counts[order],
+                     np.cumsum(n_nodes) - n_nodes, depth, n_features)
 
 
 def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
-              feature_rng: np.random.Generator | None = None, **params) -> TreeModel:
-    """One tree on every row of X: ``grow_trees`` of a single sample.
-
-    As there, a passed ``feature_rng`` is advanced past the draws the tree
-    used, and possibly further."""
-    return grow_trees(X, y_idx, n_classes, [whole_sample(X.shape[0])], [feature_rng],
-                      **params)[0]
+              key: int | None = None, **params) -> TreeModel:
+    """One tree on every row of X: the one tree of ``grow_trees``, with the
+    integer ``key`` as its key."""
+    keys = None if key is None else np.array([key], dtype=np.uint64)
+    return grow_trees(X, y_idx, n_classes, *whole_samples(X.shape[0]), keys,
+                      **params).trees()[0]
 
 
 class TreeEnsemble(Estimator):
-    """Gini trees grown together by ``grow_trees`` and read as one ``TreeStack``.
+    """Gini trees grown together by ``grow_trees`` and read as one ``NodeTable``.
 
-    A subclass's ``fit`` chooses each tree's sample and feature seed and
-    hands them to ``grow``.  A subclass with probabilities defines
-    ``predict_proba`` through ``mean_proba``, and ``predict`` takes its first
-    argmax, i.e. ties go to the lowest class index.
+    A subclass's ``fit`` chooses its trees' samples and keys and hands them
+    to ``grow``.  A subclass with probabilities defines ``predict_proba``
+    through ``mean_proba``, and ``predict`` takes its first argmax, i.e. ties
+    go to the lowest class index.
     """
 
-    def grow(self, X, y_idx, classes, samples: list, seeds: list) -> "TreeEnsemble":
-        """Grow tree t on ``samples[t]`` of X, as ``grow_trees`` takes it, with
-        its per-node features drawn from the stream of ``seeds[t]``."""
-        self.trees_ = grow_trees(X, y_idx, classes.size, samples,
-                                 [rng_from(seed) for seed in seeds], **tree_params(self))
-        self.stack_ = TreeStack(self.trees_)
+    def tree_keys(self, n_trees: int) -> np.ndarray:
+        """Tree i's key, ``derive_seed(seed, i)``, for each of ``n_trees`` trees."""
+        if n_trees < 1:
+            raise InfbenchError(f"{self.kind}: n_estimators={n_trees}, need at least 1 tree")
+        return splitmix64(resolve_seed(self.seed), np.arange(n_trees))
+
+    def grow(self, X, y_idx, classes, sample, sizes, keys) -> "TreeEnsemble":
+        """Grow the trees of ``sample``, ``sizes`` and ``keys`` on X, as
+        ``grow_trees`` takes them."""
+        self.table_ = grow_trees(X, y_idx, classes.size, sample, sizes, keys,
+                                 **tree_params(self))
         self.n_features_ = X.shape[1]
         self.classes_ = classes
         return self
 
+    @property
+    def trees_(self) -> list:
+        """Each tree as its own ``TreeModel``, sliced out of the table."""
+        return self.table_.trees()
+
     def mean_proba(self, A: np.ndarray) -> np.ndarray:
         """Mean of the trees' leaf distributions for each row of A."""
         total = np.empty((A.shape[0], self.classes_.size))
-        for rows, leaves in descend_blocks(self.stack_, A):
+        for rows, leaves in descend_blocks(self.table_, A):
             # A running sum over the tree axis adds the leaf distributions in
             # tree order, so the mean is the same float sum tree by tree.
-            total[rows] = np.cumsum(self.stack_.distribution[leaves], axis=0)[-1]
-        return total / len(self.trees_)
+            total[rows] = np.cumsum(self.table_.proba[leaves], axis=0)[-1]
+        return total / self.table_.roots.size
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -499,11 +505,10 @@ class TreeEnsemble(Estimator):
 
     def get_state(self) -> dict:
         state = super().get_state()
-        deepest = max(t.depth for t in self.trees_)
-        if deepest > MAX_SAVED_DEPTH:
+        if self.table_.depth > MAX_SAVED_DEPTH:
             raise InfbenchError(
-                f"cannot save {self.kind}: it has a tree of depth {deepest}, and an "
-                f"artifact holds trees of depth {MAX_SAVED_DEPTH} at most"
+                f"cannot save {self.kind}: it has a tree of depth {self.table_.depth}, "
+                f"and an artifact holds trees of depth {MAX_SAVED_DEPTH} at most"
             )
         return {**state, "trees": [t.to_dict() for t in self.trees_]}
 
@@ -517,23 +522,16 @@ class TreeEnsemble(Estimator):
         counts, not all zero.
         """
         est = super().from_state(state)
-        trees = [TreeModel.from_dict(d) for d in state["trees"]]
-        if not trees:
+        if not state["trees"]:
             raise ValueError("the tree list is empty")
-        expected = (est.classes_.size,
-                    trees[0].n_features if n_features is None else n_features)
-        shapes = {(t.n_classes, t.n_features) for t in trees}
-        if shapes != {expected}:
-            raise ValueError(f"trees have (n_classes, n_features) {sorted(shapes)}, "
-                             f"expected {expected}")
-        finite_floats(np.concatenate([t.threshold for t in trees]), "a tree threshold")
-        counts = np.concatenate([t.counts for t in trees])
-        # Internal nodes hold zero counts, and a tree of n nodes has (n + 1) // 2
-        # leaves, so every leaf holds some counts iff that many rows do.
-        leaves = sum((t.counts.shape[0] + 1) // 2 for t in trees)
-        if counts.min() < 0 or np.count_nonzero(counts.any(axis=1)) < leaves:
+        if n_features is None:
+            n_features = int(state["trees"][0]["n_features"])
+        table = NodeTable.from_dicts(state["trees"], est.classes_.size, n_features)
+        finite_floats(table.threshold, "a tree threshold")
+        leaf = table.left == np.arange(table.left.size)
+        if table.counts.min() < 0 or not table.counts[leaf].any(axis=1).all():
             raise ValueError("a leaf has negative or all-zero class counts")
-        est.trees_, est.stack_, est.n_features_ = trees, TreeStack(trees), expected[1]
+        est.table_, est.n_features_ = table, n_features
         return est
 
 
@@ -556,8 +554,7 @@ class DecisionTree(TreeEnsemble):
 
     def fit(self, X, y) -> "DecisionTree":
         A, y_idx, classes = check_fit_inputs(X, y)
-        return self.grow(A, y_idx, classes, [whole_sample(A.shape[0])],
-                         [resolve_seed(self.seed)])
+        return self.grow(A, y_idx, classes, *whole_samples(A.shape[0]), self.tree_keys(1))
 
     def predict_proba(self, X) -> np.ndarray:
         return self.mean_proba(self._check_predict_input(X))

@@ -36,19 +36,25 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _process_seed: int | None = None
 
 
+def splitmix64(base, stream) -> np.ndarray:
+    """``derive_seed`` element-wise: uint64 seeds for broadcast arrays of
+    bases and nonnegative stream ids, in numpy's wrapping uint64 arithmetic."""
+    z = np.asarray(base, np.uint64) ^ (np.asarray(stream, np.uint64) * np.uint64(_GOLDEN))
+    z += np.uint64(_GOLDEN)
+    for shift, odd in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(odd)
+    return z ^ (z >> np.uint64(31))
+
+
 def derive_seed(base: int, stream_id: int) -> int:
     """Derive an independent 64-bit seed for one consumer stream.
 
-    Splitmix-style finalizer over ``base XOR (stream_id * odd constant)``.
-    The multiply spreads small consecutive stream ids across the word before
-    mixing; the finalizer is a bijection, so distinct stream ids under one
-    base can never collide.
+    SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA 2014) over ``base
+    XOR (stream_id * odd constant)``.  The multiply spreads small consecutive
+    stream ids across the word before mixing; the finalizer is a bijection,
+    so distinct stream ids under one base can never collide.
     """
-    z = (int(base) ^ ((int(stream_id) * _GOLDEN) & _MASK64)) & _MASK64
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return int(splitmix64([int(base) & _MASK64], [int(stream_id) & _MASK64])[0])
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -66,11 +72,6 @@ def resolve_seed(seed: int | None) -> int:
         _process_seed = secrets.randbits(64)
         logger.info("no base seed given; drew process seed %d", _process_seed)
     return _process_seed
-
-
-def rng_from(seed: int) -> np.random.Generator:
-    """PCG64 generator for a derived seed (platform-stable sequences)."""
-    return np.random.default_rng(int(seed) & _MASK64)
 
 
 @dataclass(frozen=True)

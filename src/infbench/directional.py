@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_fit_inputs, derive_seed, finite_floats, resolve_seed
+from .core import check_fit_inputs, finite_floats
 from .errors import MissingClass
 from .baselearners.forest import plurality_vote
-from .baselearners.tree import TreeEnsemble, descend_blocks, whole_sample
+from .baselearners.tree import TreeEnsemble, descend_blocks, whole_samples
 
 
 def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
@@ -44,10 +44,10 @@ def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
 class DirectionalForest(TreeEnsemble):
     """Feature-direction ensemble classifier.
 
-    Tree i draws its per-node feature subsets from ``derive_seed(seed, i)``,
-    a distinct stream per tree.  Sharing one stream across trees would make
-    every tree identical here, because without bootstrap the trees differ only
-    through feature sampling.
+    Tree i's key is ``derive_seed(seed, i)``, and stream 1 + o under it draws
+    the candidates of its o-th searched node (``tree.node_features``).
+    Sharing one key across trees would make every tree identical here,
+    because without bootstrap the trees differ only through feature sampling.
     """
 
     kind = "directional_forest"
@@ -64,17 +64,16 @@ class DirectionalForest(TreeEnsemble):
 
     def fit(self, X, y) -> "DirectionalForest":
         A, y_idx, classes = check_fit_inputs(X, y)
+        keys = self.tree_keys(self.n_estimators)
         self.directions_ = feature_directions(A, y_idx, classes.size)
-        base = resolve_seed(self.seed)
         return self.grow(A * self.directions_, y_idx, classes,
-                         [whole_sample(A.shape[0])] * self.n_estimators,
-                         [derive_seed(base, i) for i in range(self.n_estimators)])
+                         *whole_samples(A.shape[0], keys.size), keys)
 
     def predict(self, X) -> np.ndarray:
         A = self._check_predict_input(X)
         idx = np.empty(A.shape[0], dtype=np.int64)
-        for rows, leaves in descend_blocks(self.stack_, A * self.directions_):
-            idx[rows] = plurality_vote(self.stack_.vote[leaves].T)
+        for rows, leaves in descend_blocks(self.table_, A * self.directions_):
+            idx[rows] = plurality_vote(self.table_.vote[leaves].T)
         return self.classes_.decode(idx)
 
     def get_state(self) -> dict:

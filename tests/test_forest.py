@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from infbench.baselearners import DecisionTree, RandomForest, plurality_vote
 from infbench.baselearners import tree as tree_module
+from infbench.baselearners.forest import bootstrap
 from infbench.baselearners.tree import TreeModel, grow_tree, tree_params
-from infbench.core import derive_seed
+from infbench.core import derive_seed, splitmix64
 from infbench.directional import DirectionalForest
-from infbench.errors import DimensionMismatch, NotFitted
+from infbench.errors import DimensionMismatch, InfbenchError, NotFitted
 
 from conftest import make_blobs
 
@@ -65,24 +66,57 @@ def test_forest_seed_changes_bootstrap(blobs2):
     assert a.trees_[0].to_dict() != b.trees_[0].to_dict()
 
 
+def reference_bootstrap(key: int, n: int) -> np.ndarray:
+    """The documented bootstrap of the tree of ``key``, in Python integers:
+    draw j multiplies the high 32 bits of stream 0's j-th hash by n."""
+    stream = derive_seed(key, 0)
+    return np.array([(derive_seed(stream, j) >> 32) * n >> 32 for j in range(n)])
+
+
 def test_forest_bootstrap_stream_is_derived(blobs2):
     X, y = blobs2
     seed = 33
     forest = RandomForest(n_estimators=3, seed=seed).fit(X, y)
-    n = X.shape[0]
-    # reproduce tree 2's training set from the documented stream layout
-    tree_seed = derive_seed(seed, 2)
-    rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
-    classes, = (forest.classes_,)
-    y_idx = classes.encode(y)
-    from infbench.baselearners.tree import grow_tree
-
-    rebuilt = grow_tree(
-        X[rows], y_idx[rows], classes.size,
-        max_features="sqrt",
-        feature_rng=np.random.default_rng(derive_seed(tree_seed, 1)),
-    )
+    # reproduce tree 2 from the documented stream layout
+    key = derive_seed(seed, 2)
+    rows = reference_bootstrap(key, X.shape[0])
+    y_idx = forest.classes_.encode(y)
+    rebuilt = grow_tree(X[rows], y_idx[rows], forest.classes_.size,
+                        max_features="sqrt", key=key)
     assert rebuilt.to_dict() == forest.trees_[2].to_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_each_bootstrap_draws_n_rows(n):
+    keys = splitmix64(5, np.arange(40))
+    sample, sizes = bootstrap(keys, n)
+    assert sample.dtype == np.int32 and sizes.sum() == sample.shape[1]
+    tree = np.repeat(np.arange(keys.size), sizes)
+    assert (np.bincount(tree, weights=sample[1]) == n).all()
+    assert (sample[1] > 0).all() and sample[0].min() >= 0 and sample[0].max() < n
+    # each tree's rows are distinct and ascending
+    assert (np.diff(sample[0])[np.diff(tree) == 0] > 0).all()
+    for t in (0, 39):
+        drawn = np.bincount(reference_bootstrap(int(keys[t]), n), minlength=n)
+        rows, mult = sample[:, tree == t]
+        assert rows.tolist() == np.flatnonzero(drawn).tolist()
+        assert mult.tolist() == drawn[rows].tolist()
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 64])
+def test_small_draw_chunks_grow_the_same_forests(blobs3, monkeypatch, pairs):
+    X, y = blobs3
+    models = [RandomForest(n_estimators=9, seed=12), DirectionalForest(n_estimators=9, seed=12)]
+    want = [m.fit(X, y).get_state() for m in models]
+    monkeypatch.setattr(tree_module, "BLOCK_PAIRS", pairs)
+    assert [m.fit(X, y).get_state() for m in models] == want
+
+
+@pytest.mark.parametrize("cls", [RandomForest, DirectionalForest])
+def test_a_forest_of_no_trees_is_refused(blobs2, cls):
+    X, y = blobs2
+    with pytest.raises(InfbenchError, match=f"{cls.kind}: n_estimators=0"):
+        cls(n_estimators=0, seed=1).fit(X, y)
 
 
 def test_forest_single_tree_no_bootstrap_reduction():
@@ -202,7 +236,7 @@ def test_a_rows_label_does_not_depend_on_its_batch(case, data):
 def test_tree_dict_round_trip_keeps_every_node_array(case):
     X, y, params = case
     for tree in RandomForest(**params).fit(X, y).trees_:
-        back = TreeModel.from_dict(tree.to_dict())
+        back = TreeModel.from_dicts([tree.to_dict()], tree.n_classes, tree.n_features)
         for name in ("feature", "threshold", "left", "right", "counts"):
             a, b = getattr(tree, name), getattr(back, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -214,21 +248,19 @@ def test_tree_dict_round_trip_keeps_every_node_array(case):
 
 def assert_each_tree_is_grown_alone(forest, X, y):
     """Fit ``forest`` and check every tree against ``grow_tree`` run by itself
-    on that tree's rows and feature seed, with RuntimeWarnings as errors."""
+    on that tree's rows and key, with RuntimeWarnings as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         forest.fit(X, y)
         y_idx, n = forest.classes_.encode(y), X.shape[0]
         for i, tree in enumerate(forest.trees_):
+            key = derive_seed(forest.seed, i)
             if isinstance(forest, RandomForest):
-                tree_seed = derive_seed(forest.seed, i)
-                rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
-                A, y_rows, feature_seed = X[rows], y_idx[rows], derive_seed(tree_seed, 1)
+                rows = reference_bootstrap(key, n)
+                A, y_rows = X[rows], y_idx[rows]
             else:
                 A, y_rows = X * forest.directions_, y_idx
-                feature_seed = derive_seed(forest.seed, i)
-            alone = grow_tree(A, y_rows, forest.classes_.size,
-                              feature_rng=np.random.default_rng(feature_seed),
+            alone = grow_tree(A, y_rows, forest.classes_.size, key=key,
                               **tree_params(forest))
             for name in ("feature", "threshold", "left", "right", "counts"):
                 a, b = getattr(tree, name), getattr(alone, name)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from infbench.baselearners import DecisionTree
 from infbench.baselearners import tree as tree_module
-from infbench.baselearners.tree import feature_subsets, grow_tree
-from infbench.core import encode_labels
+from infbench.baselearners.tree import grow_tree, node_features
+from infbench.core import derive_seed, encode_labels, splitmix64
 from infbench.errors import NotFitted
 
 
@@ -229,45 +229,36 @@ def test_state_roundtrip(blobs3):
     assert np.array_equal(clone.predict_proba(X), tree.predict_proba(X))
 
 
-# -- bulk feature draws --------------------------------------------------------
+# -- hashed feature draws ---------------------------------------------------------
 
-def assert_draws_match_choice(seed: int, n: int, k: int, count: int):
-    """The first ``count`` subsets of ``feature_subsets`` are numpy's sorted
-    ``choice`` draws from a generator of the same seed, one after another."""
-    bulk = feature_subsets(np.random.default_rng(seed), n, k)
-    one_by_one = np.random.default_rng(seed)
-    for i in range(count):
-        want = np.sort(one_by_one.choice(n, size=k, replace=False))
-        got = next(bulk)
-        assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, i)
-
-
-@st.composite
-def draw_case(draw):
-    n = draw(st.integers(2, 10000))
-    # mostly small subsets, as "sqrt" draws, but any k < n
-    k = draw(st.one_of(st.integers(1, min(n - 1, 12)), st.integers(1, n - 1)))
-    # enough subsets to cross the first chunk (64) and often the second (192)
-    return draw(st.integers(0, 2**64 - 1)), n, k, draw(st.integers(1, 260))
-
-
-@given(draw_case())
+@given(st.integers(0, 2**64 - 1), st.integers(2, 300), st.data())
 @settings(max_examples=60, deadline=None)
-def test_bulk_draws_equal_successive_choice_draws(case):
-    assert_draws_match_choice(*case)
+def test_every_subset_is_sorted_distinct_and_in_range(seed, n, data):
+    k = data.draw(st.integers(1, n - 1))
+    nodes = data.draw(st.integers(1, 40))
+    feats = node_features(splitmix64(seed, np.arange(nodes)), n, k)
+    assert feats.shape == (nodes, k) and feats.dtype == np.int64
+    assert (np.diff(feats, axis=1) > 0).all()
+    assert feats.min() >= 0 and feats.max() < n
 
 
-@pytest.mark.parametrize("k, bulk", [(200, True), (201, False)])
-def test_draws_at_numpys_floyd_cutoff(k, bulk):
-    # numpy's choice runs Floyd's algorithm for n > 10000 only while
-    # k <= n // 50; above that it shuffles a tail, which the draws leave to it
-    n, seed = 10001, 5
-    assert_draws_match_choice(seed, n, k, 70)
-    drawn, once = np.random.default_rng(seed), np.random.default_rng(seed)
-    next(feature_subsets(drawn, n, k))
-    once.choice(n, size=k, replace=False)
-    # the bulk path moves the stream a whole chunk of subsets ahead
-    assert (drawn.bit_generator.state != once.bit_generator.state) == bulk
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 4), (9, 3), (40, 6)])
+def test_each_feature_is_drawn_at_rate_k_over_n(n, k):
+    # each node's subset is independent, so a feature's inclusions over m
+    # nodes are binomial(m, k / n); allow five standard deviations
+    m, p = 20000, k / n
+    feats = node_features(splitmix64(1609, np.arange(m)), n, k)
+    drawn = np.bincount(feats.ravel(), minlength=n)
+    assert np.abs(drawn - m * p).max() <= 5 * np.sqrt(m * p * (1 - p))
+
+
+def test_subsets_are_the_smallest_hashes_in_any_chunking(monkeypatch):
+    keys = splitmix64(77, np.arange(50))
+    want = [sorted(sorted(range(12), key=lambda f: derive_seed(int(key), f))[:4])
+            for key in keys]
+    assert node_features(keys, 12, 4).tolist() == want
+    monkeypatch.setattr(tree_module, "BLOCK_PAIRS", 1)
+    assert node_features(keys, 12, 4).tolist() == want
 
 
 # -- the segmented search's children ---------------------------------------------
@@ -352,17 +343,25 @@ def test_search_children_partition_their_parent(case):
 
 # -- level-order growth against a one-node-at-a-time reference ---------------------
 
-def reference_tree(X, y, C, *, feature_rng=None, max_depth=None, min_samples_split=2,
+def reference_subset(key: int, ordinal: int, F: int, k: int) -> np.ndarray:
+    """The documented draw of a tree's ``ordinal``-th searched node, in
+    Python integers: the k features with the smallest hash under the key's
+    stream 1 + ordinal."""
+    node_key = derive_seed(key, 1 + ordinal)
+    return np.array(sorted(sorted(range(F), key=lambda f: derive_seed(node_key, f))[:k]))
+
+
+def reference_tree(X, y, C, *, key=None, max_depth=None, min_samples_split=2,
                    min_samples_leaf=1, max_features=None):
     """One tree grown node by node from a queue: each node is searched by
-    ``_search_nodes`` alone and, when searched, takes the next subset of
-    ``feature_subsets``, so the subsets go to the nodes in level order.
+    ``_search_nodes`` alone and, when searched, takes ``reference_subset`` of
+    the next ordinal, so the ordinals go to the nodes in level order.
     Returns the node arrays, numbered in that order, and the depth."""
     F = X.shape[1]
     k = tree_module.resolve_feature_count(max_features, F)
-    draws = feature_subsets(feature_rng, F, k) if k < F else None
+    ordinal = 0
     ranks = tree_module.column_ranks(X)
-    queue = deque([(tree_module.whole_sample(X.shape[0]), 0)])
+    queue = deque([(tree_module.whole_samples(X.shape[0])[0], 0)])
     feature, threshold, left, right, counts, depth = [], [], [], [], [], 0
     while queue:
         sample, level = queue.popleft()
@@ -372,7 +371,8 @@ def reference_tree(X, y, C, *, feature_rng=None, max_depth=None, min_samples_spl
         split = None
         if ((max_depth is None or level < max_depth) and c.sum() >= min_samples_split
                 and np.count_nonzero(c) > 1):
-            feats = np.arange(F) if draws is None else next(draws)
+            feats = np.arange(F) if k == F else reference_subset(key, ordinal, F, k)
+            ordinal += 1
             split = search(X, ranks, y, C, [(sample, feats)], min_samples_leaf)
         if split is None or split[0].size == 0:
             feature.append(0)
@@ -399,8 +399,8 @@ def reference_tree(X, y, C, *, feature_rng=None, max_depth=None, min_samples_spl
 
 @st.composite
 def growth_case(draw):
-    """A small table with coarse values (duplicates and exact ties), a feature
-    seed, and tree settings."""
+    """A small table with coarse values (duplicates and exact ties), a tree
+    key, and tree settings."""
     n = draw(st.integers(2, 40))
     f = draw(st.integers(1, 6))
     C = draw(st.integers(2, 3))
@@ -411,15 +411,15 @@ def growth_case(draw):
               "max_depth": draw(st.sampled_from([None, 0, 1, 3])),
               "min_samples_split": draw(st.integers(2, 6)),
               "min_samples_leaf": draw(st.integers(1, 3))}
-    return X, y, C, draw(st.integers(0, 2**32)), params
+    return X, y, C, draw(st.integers(0, 2**64 - 1)), params
 
 
 @given(growth_case())
 @settings(max_examples=80, deadline=None)
 def test_level_order_growth_matches_the_queue_reference(case):
     X, y, C, seed, params = case
-    tree = grow_tree(X, y, C, feature_rng=np.random.default_rng(seed), **params)
-    want, depth = reference_tree(X, y, C, feature_rng=np.random.default_rng(seed), **params)
+    tree = grow_tree(X, y, C, key=seed, **params)
+    want, depth = reference_tree(X, y, C, key=seed, **params)
     for name, array in want.items():
         got = getattr(tree, name)
         assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name

@@ -186,21 +186,22 @@ def column_ranks(X: np.ndarray) -> np.ndarray:
 def descend(nodes, X: np.ndarray) -> np.ndarray:
     """Leaf reached by every row of X in every tree of ``nodes``, shape (trees, n).
 
-    ``nodes`` holds node arrays (``feature``, ``threshold``, ``left``,
-    ``right``), the index of each tree's root in ``roots``, and ``depth``, the
-    longest root-to-leaf path.  Each step moves every (tree, row) pair one
-    level down and costs a few numpy calls whatever the tree count.  A leaf
-    points to itself and a split to later nodes, so the descent ends after
-    ``depth`` steps, or as soon as a step moves no pair.
+    ``nodes`` holds node arrays (``feature``, ``left``, ``bound``), the index
+    of each tree's root in ``roots``, and ``depth``, the longest root-to-leaf
+    path.  Each step moves every (tree, row) pair one level down with one
+    comparison and one gather, ``left + (x[feature] > bound)``: for finite X
+    the right child exactly where ``x[feature] <= threshold`` fails, and a
+    leaf's own index, as its bound is +inf.  The descent ends after ``depth``
+    steps, or as soon as a step moves no pair.
     """
     n, f = X.shape
     flat = X.ravel()
     row_base = np.arange(n) * f
     node = np.repeat(nodes.roots[:, None], n, axis=1)
     for _ in range(nodes.depth):
-        go_left = flat[row_base + nodes.feature[node]] <= nodes.threshold[node]
-        below = np.where(go_left, nodes.left[node], nodes.right[node])
-        if (below == node).all():
+        below = nodes.left[node]
+        below += flat[row_base + nodes.feature[node]] > nodes.bound[node]
+        if not np.count_nonzero(below - node):
             break
         node = below
     return node
@@ -233,23 +234,30 @@ class NodeTable:
     Tree t's nodes are ``roots[t]`` up to the next root, in its level order:
     by depth, then left to right.  An internal node routes a row left iff
     ``x[feature] <= threshold``; its left child is node ``left`` and its right
-    child node ``right``, the next one.  A leaf has ``left == right ==`` its
-    own index and holds the class counts of its training rows in ``counts``
-    (internal nodes hold zeros there).  ``depths`` holds each tree's longest
-    root-to-leaf path and ``depth`` the largest.  ``proba`` and ``vote`` hold
-    each node's class distribution and argmax, so a model turns leaf indices
-    into outputs with one gather.
+    child, the derived ``right``, the next one.  A leaf has ``left`` equal to
+    its own index and holds the class counts of its training rows in
+    ``counts`` (internal nodes hold zeros there).  ``depths`` holds each
+    tree's longest root-to-leaf path and ``depth`` the largest.  ``bound``,
+    ``proba`` and ``vote`` hold each node's threshold (+inf at a leaf), class
+    distribution and argmax, for ``descend`` and for one-gather outputs.
     """
 
     def __init__(self, feature, threshold, left, counts, roots, depths, n_features: int):
         self.feature = np.asarray(feature, np.int64)
         self.threshold = np.asarray(threshold, np.float64)
         self.left = np.asarray(left, np.int64)
-        self.right = self.left + (self.left != np.arange(self.left.size))
         self.counts = np.asarray(counts, np.int64).reshape(self.left.size, -1)
         self.roots, self.depths = np.asarray(roots, np.int64), np.asarray(depths, np.int64)
         self.depth = int(self.depths.max())
         self.n_classes, self.n_features = self.counts.shape[1], n_features
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.left + (self.left != np.arange(self.left.size))
+
+    @cached_property
+    def bound(self) -> np.ndarray:
+        return np.where(self.left == np.arange(self.left.size), np.inf, self.threshold)
 
     @cached_property
     def proba(self) -> np.ndarray:
@@ -284,7 +292,7 @@ class NodeTable:
                     feature.append(0)
                     threshold.append(0.0)
                     left.append(root + i)
-                    counts.append(c)
+                    counts += c
                     continue
                 if level[i] >= MAX_SAVED_DEPTH:
                     raise ValueError(f"tree is deeper than {MAX_SAVED_DEPTH} levels")
@@ -293,11 +301,14 @@ class NodeTable:
                 feature.append(node["feature"])
                 threshold.append(node["threshold"])
                 left.append(root + len(nodes))
-                counts.append(zeros)
+                counts += zeros
                 nodes += node["left"], node["right"]
                 level += level[i] + 1, level[i] + 1
             roots.append(root)
             depths.append(level[-1])
+        counts = np.asarray(counts)
+        if counts.dtype.kind != "i" or counts.ndim != 1:
+            raise ValueError("leaf counts must be integers")
         return cls(feature, threshold, left, counts, roots, depths, n_features)
 
     def trees(self) -> list:
@@ -326,7 +337,7 @@ class TreeModel(NodeTable):
         """Nested ``{feature, threshold, left, right}`` / ``{counts}`` form, which
         ``NodeTable.from_dicts`` reads back."""
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right, counts = self.left.tolist(), self.right.tolist(), self.counts.tolist()
+        left, counts = self.left.tolist(), self.counts.tolist()
         # children follow their parent, so a reverse sweep meets both
         # children of a split before the split itself
         node = [None] * len(left)
@@ -338,7 +349,7 @@ class TreeModel(NodeTable):
                     "feature": feature[i],
                     "threshold": threshold[i],
                     "left": node[left[i]],
-                    "right": node[right[i]],
+                    "right": node[left[i] + 1],
                 }
         return {
             "n_classes": self.n_classes,

@@ -590,6 +590,9 @@ MALFORMED_ARTIFACTS = [
                  lambda d: _first_leaf(_state(d)["trees"][0]).update(counts=[3, -1]),
                  "counts", id="negative_counts"),
     pytest.param("decision_tree",
+                 lambda d: _first_leaf(_state(d)["tree"]).update(counts=[1.7, 0]),
+                 "counts", id="fractional_counts"),
+    pytest.param("decision_tree",
                  lambda d: _state(d)["tree"]["root"].update(feature=2),
                  "feature", id="feature_out_of_range"),
     pytest.param("directional_forest",

@@ -2,6 +2,8 @@
 
 from collections import Counter, deque
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from infbench.baselearners import DecisionTree
 from infbench.baselearners import tree as tree_module
-from infbench.baselearners.tree import grow_tree, node_features
+from infbench.baselearners.tree import NodeTable, descend, descend_blocks, grow_tree, node_features
 from infbench.core import derive_seed, encode_labels, splitmix64
 from infbench.errors import NotFitted
 
@@ -424,3 +426,103 @@ def test_level_order_growth_matches_the_queue_reference(case):
         got = getattr(tree, name)
         assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
     assert tree.depth == depth
+
+
+# -- the descent against a node-by-node walk ---------------------------------------
+
+# thresholds and row values share one set, so rows fall exactly on thresholds,
+# and -0.0 meets 0.0 both ways
+EDGE_VALUES = [-1.5, -0.0, 0.0, 0.25, 1.0]
+
+
+@st.composite
+def nested_tree(draw, n_features: int, depth: int) -> dict:
+    """A tree in ``TreeModel.to_dict`` form, at most ``depth`` levels deep."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return {"counts": [draw(st.integers(0, 3)), 1]}
+    return {"feature": draw(st.integers(0, n_features - 1)),
+            "threshold": draw(st.sampled_from(EDGE_VALUES)),
+            "left": draw(nested_tree(n_features, depth - 1)),
+            "right": draw(nested_tree(n_features, depth - 1))}
+
+
+@st.composite
+def descent_case(draw):
+    """Trees from single leaves to 7 levels deep, and rows over ``EDGE_VALUES``."""
+    f = draw(st.integers(1, 3))
+    trees = [{"n_classes": 2, "n_features": f,
+              "root": draw(nested_tree(f, draw(st.sampled_from([0, 1, 3, 7]))))}
+             for _ in range(draw(st.integers(1, 5)))]
+    X = np.array(draw(st.lists(st.lists(st.sampled_from(EDGE_VALUES), min_size=f, max_size=f),
+                               min_size=1, max_size=12)))
+    return NodeTable.from_dicts(trees, 2, f), X
+
+
+def walked_leaves(table, X) -> np.ndarray:
+    """Leaf of each (tree, row) pair, one node at a time: left iff
+    ``x[feature] <= threshold``."""
+    left, right = table.left.tolist(), table.right.tolist()
+    leaves = np.empty((table.roots.size, X.shape[0]), dtype=np.int64)
+    for t, root in enumerate(table.roots.tolist()):
+        for r, x in enumerate(X.tolist()):
+            i = root
+            while left[i] != i:
+                i = left[i] if x[table.feature[i]] <= table.threshold[i] else right[i]
+            leaves[t, r] = i
+    return leaves
+
+
+def right_chain(depth: int) -> dict:
+    """A tree that splits at 0.0 ``depth`` times down its right side, each
+    split with a leaf on its left."""
+    node = {"counts": [1, 0]}
+    for _ in range(depth):
+        node = {"feature": 0, "threshold": 0.0, "left": {"counts": [0, 1]}, "right": node}
+    return node
+
+
+def one_feature_table(*roots) -> NodeTable:
+    return NodeTable.from_dicts([{"n_classes": 2, "n_features": 1, "root": root}
+                                 for root in roots], 2, 1)
+
+
+@given(descent_case())
+@example((one_feature_table({"counts": [1, 1]}, right_chain(6)),
+          np.array([[-0.0], [0.0], [1.0], [-1.5]])))
+@settings(max_examples=150, deadline=None)
+def test_descent_matches_the_node_walk(case):
+    table, X = case
+    want = walked_leaves(table, X)
+    assert descend(table, X).tolist() == want.tolist()
+    for pairs in (1, 3, tree_module.BLOCK_PAIRS):
+        with mock.patch.object(tree_module, "BLOCK_PAIRS", pairs):
+            got = np.full_like(want, -1)
+            for rows, leaves in descend_blocks(table, X):
+                got[:, rows] = leaves
+        assert got.tolist() == want.tolist()
+
+
+class CountingBound:
+    """A node array that counts its gathers: one per descent step."""
+
+    def __init__(self, array):
+        self.array, self.reads = array, 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.array[index]
+
+
+def test_descent_stops_once_no_pair_moves():
+    # Every row goes left at both roots, into a leaf at depth 1, though the
+    # chain makes the table 6 levels deep: the first step moves every pair,
+    # and the second, moving none, ends the descent.
+    stump = {"feature": 0, "threshold": 0.5, "left": {"counts": [1, 0]},
+             "right": {"counts": [0, 1]}}
+    table = one_feature_table(stump, right_chain(6))
+    X = np.array([[-1.5], [-0.0], [0.0]])
+    spy = SimpleNamespace(feature=table.feature, left=table.left, roots=table.roots,
+                          depth=table.depth, bound=CountingBound(table.bound))
+    assert table.depth == 6
+    assert descend(spy, X).tolist() == walked_leaves(table, X).tolist()
+    assert spy.bound.reads == 2

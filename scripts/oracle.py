@@ -20,8 +20,10 @@ Run from the repository root (it takes about a minute on two CPUs):
 
     python3 scripts/oracle.py
 
-``tests/test_oracle.py`` checks the ten train and predict digests, which take
-a few seconds, in the test suite; ``results.json`` is left to this script.
+The test suite checks all eleven: ``tests/test_oracle.py`` the ten train and
+predict digests, which take a few seconds, and acceptance gate 08 the
+``results.json`` digest of the serial grid it runs anyway, also at
+``SOURCE_DATE_EPOCH=0``.
 """
 
 from __future__ import annotations

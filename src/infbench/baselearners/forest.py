@@ -63,13 +63,7 @@ class RandomForest(TreeEnsemble):
                  min_samples_split: int = 2, min_samples_leaf: int = 1,
                  max_features="sqrt", bootstrap: bool = True,
                  seed: int | None = None):
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.seed = seed
+        self.set_hyperparams(locals())
 
     def fit(self, X, y) -> "RandomForest":
         A, y_idx, classes = check_fit_inputs(X, y)

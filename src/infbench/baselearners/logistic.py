@@ -16,8 +16,8 @@ import warnings
 
 import numpy as np
 
-from ..core import Estimator, check_fit_inputs, finite_floats
-from ..errors import ConvergenceWarning, InfbenchError
+from ..core import POSITIVE, Estimator, check_fit_inputs, finite_floats, integer
+from ..errors import ConvergenceWarning
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -60,15 +60,12 @@ class LogisticRegression(Estimator):
     """Softmax regression over the estimator contract."""
 
     kind = "logistic_regression"
+    rules = {"l2": POSITIVE, "max_iter": integer(1), "tol": POSITIVE}  # l2 = 0: singular Hessian
 
     def __init__(self, l2: float = 1e-4, max_iter: int = 1000, tol: float = 1e-6):
-        self.l2 = l2
-        self.max_iter = max_iter
-        self.tol = tol
+        self.set_hyperparams(locals())
 
     def fit(self, X, y) -> "LogisticRegression":
-        if not self.l2 > 0:  # without the penalty the Hessian can be singular
-            raise InfbenchError(f"logistic regression needs l2 > 0, got {self.l2}")
         A, y_idx, classes = check_fit_inputs(X, y)
         self.mean_ = A.mean(axis=0)
         scale = A.std(axis=0)

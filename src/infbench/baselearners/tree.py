@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import Estimator, check_fit_inputs, finite_floats, resolve_seed, splitmix64
+from ..core import (FLAG, SEED, Estimator, check_fit_inputs, finite_floats, integer,
+                    resolve_seed, splitmix64)
 from ..errors import InfbenchError
 
 
@@ -37,12 +38,9 @@ def resolve_feature_count(max_features, n_features: int) -> int:
         return n_features
     if max_features == "sqrt":
         return max(1, int(math.isqrt(n_features)))
-    k = int(max_features)
-    if not 1 <= k <= n_features:
-        raise InfbenchError(
-            f"max_features={k} outside [1, {n_features}]"
-        )
-    return k
+    if max_features > n_features:
+        raise InfbenchError(f"max_features={max_features} outside [1, {n_features}]")
+    return max_features
 
 
 def node_features(node_keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
@@ -306,7 +304,10 @@ class NodeTable:
                 level += level[i] + 1, level[i] + 1
             roots.append(root)
             depths.append(level[-1])
-        counts = np.asarray(counts)
+        feature, threshold, counts = map(np.asarray, (feature, threshold, counts))
+        if feature.dtype.kind != "i" or threshold.dtype.kind != "f":
+            raise ValueError(f"split features must be integers and thresholds floats, "
+                             f"got {feature.dtype} and {threshold.dtype}")
         if counts.dtype.kind != "i" or counts.ndim != 1:
             raise ValueError("leaf counts must be integers")
         return cls(feature, threshold, left, counts, roots, depths, n_features)
@@ -478,13 +479,15 @@ class TreeEnsemble(Estimator):
     A subclass's ``fit`` chooses its trees' samples and keys and hands them
     to ``grow``.  A subclass with probabilities defines ``predict_proba``
     through ``mean_proba``, and ``predict`` takes its first argmax, i.e. ties
-    go to the lowest class index.
+    go to the lowest class index.  The other tree models take part of ``rules``.
     """
+
+    rules = {"n_estimators": integer(1), "max_depth": integer(0, None),
+             "min_samples_split": integer(2), "min_samples_leaf": integer(1),
+             "max_features": integer(1, None, "sqrt"), "bootstrap": FLAG, "seed": SEED}
 
     def tree_keys(self, n_trees: int) -> np.ndarray:
         """Tree i's key, ``derive_seed(seed, i)``, for each of ``n_trees`` trees."""
-        if n_trees < 1:
-            raise InfbenchError(f"{self.kind}: n_estimators={n_trees}, need at least 1 tree")
         return splitmix64(resolve_seed(self.seed), np.arange(n_trees))
 
     def grow(self, X, y_idx, classes, sample, sizes, keys) -> "TreeEnsemble":
@@ -553,15 +556,13 @@ class DecisionTree(TreeEnsemble):
     """
 
     kind = "decision_tree"
+    rules = {k: rule for k, rule in TreeEnsemble.rules.items()
+             if k not in ("n_estimators", "bootstrap")}
 
     def __init__(self, max_depth: int | None = None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features=None,
                  seed: int | None = None):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.seed = seed
+        self.set_hyperparams(locals())
 
     def fit(self, X, y) -> "DecisionTree":
         A, y_idx, classes = check_fit_inputs(X, y)

@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core import derive_seed, resolve_seed, stable_text_hash
+from ..core import SEED, check_params, derive_seed, integer, resolve_seed, stable_text_hash
 from ..errors import ConvergenceWarning, EvaluationError, InfbenchError
 from ..metasynthesis import stratified_folds
 from .ingest import ingest_csv
@@ -38,8 +38,7 @@ class EvalProtocol:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InfbenchError(f"folds must be >= 2, got {self.folds}")
+        check_params("evaluation protocol", {"folds": integer(2), "seed": SEED}, vars(self))
 
 
 def cell_seed(base_seed: int, model_id: str, dataset_id: str) -> int:

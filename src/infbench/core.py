@@ -11,8 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import inspect
 import logging
+import numbers
 import secrets
 from dataclasses import dataclass, field
 
@@ -22,6 +22,7 @@ from .errors import (
     DegenerateTarget,
     DimensionMismatch,
     EmptyMatrix,
+    InfbenchError,
     NonFiniteValue,
     NotFitted,
 )
@@ -179,22 +180,52 @@ def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray, ClassSet]:
     return A, y_idx, classes
 
 
+def integer(low=-np.inf, *also) -> tuple:
+    """Rule: an integer >= ``low``, or one of ``also`` (None or strings).  An
+    integer is a ``numbers.Integral`` but not a bool, so numpy's pass."""
+    def test(v):
+        if v is None or isinstance(v, str):
+            return v in also
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+    need = "an integer" if low == -np.inf else f">= {low}, an integer"
+    return test, ", or ".join([need, *map(repr, also)])
+
+
+# A rule is (test of a value, what the test needs), as the error names it.
+SEED = integer(-np.inf, None)
+FLAG = (lambda v: isinstance(v, bool)), "True or False"
+POSITIVE = (lambda v: isinstance(v, numbers.Real) and 0 < v < np.inf), "> 0, finite"
+
+
+def check_params(owner: str, rules: dict, values: dict) -> None:
+    """Raise InfbenchError on the first of ``values`` that breaks its rule."""
+    for name, (test, need) in rules.items():
+        if not test(values[name]):
+            raise InfbenchError(f"{owner}: {name}={values[name]!r}, need {name} {need}")
+
+
 class Estimator:
     """Behavioral contract every model in the package implements.
 
     ``fit(X, y)`` takes a feature matrix and raw labels and returns self;
     ``predict(X)`` returns original labels; probabilistic models additionally
     expose ``predict_proba(X)`` with columns aligned to ``classes_.labels``.
-    The ``__init__`` signature is the one declaration of a model's
-    hyperparameters: each argument is stored under its own name, and
-    ``hyperparams()``, ``fresh_clone()`` and the artifact's ``hyperparams``
-    are derived from it.  Fitted state lives in trailing-underscore
-    attributes; refitting with the same data and seed reproduces predictions
-    exactly.
+    ``rules`` declares a model's hyperparameters in ``__init__`` order, each
+    with its rule; ``__init__`` passes its arguments to ``set_hyperparams``,
+    and ``hyperparams()``, ``fresh_clone()`` and the artifact's
+    ``hyperparams`` are derived from the table.  Fitted state lives in
+    trailing-underscore attributes; refitting with the same data and seed
+    reproduces predictions exactly.
     """
 
     kind: str = "abstract"
+    rules: dict = {}
     classes_: ClassSet | None = None
+
+    def set_hyperparams(self, args: dict) -> None:
+        """Check ``rules``' names in ``args``, and store each under its name."""
+        check_params(self.kind, self.rules, args)
+        vars(self).update((name, args[name]) for name in self.rules)
 
     def fit(self, X, y) -> "Estimator":
         raise NotImplementedError
@@ -203,9 +234,8 @@ class Estimator:
         raise NotImplementedError
 
     def hyperparams(self) -> dict:
-        """The ``__init__`` arguments, read back from same-named attributes."""
-        names = list(inspect.signature(type(self).__init__).parameters)[1:]
-        return {name: getattr(self, name) for name in names}
+        """The hyperparameters of ``rules``, read back from same-named attributes."""
+        return {name: getattr(self, name) for name in self.rules}
 
     def fresh_clone(self, seed: int | None = None) -> "Estimator":
         """Unfitted copy with the same hyperparameters.

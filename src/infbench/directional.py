@@ -51,16 +51,12 @@ class DirectionalForest(TreeEnsemble):
     """
 
     kind = "directional_forest"
+    rules = {k: rule for k, rule in TreeEnsemble.rules.items() if k != "bootstrap"}
 
     def __init__(self, n_estimators: int = 100, max_depth: int | None = None,
                  min_samples_split: int = 2, min_samples_leaf: int = 1,
                  max_features="sqrt", seed: int | None = None):
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.seed = seed
+        self.set_hyperparams(locals())
 
     def fit(self, X, y) -> "DirectionalForest":
         A, y_idx, classes = check_fit_inputs(X, y)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Estimator, check_fit_inputs, derive_seed, resolve_seed, supports_proba
+from .core import (FLAG, SEED, Estimator, check_fit_inputs, derive_seed, integer,
+                   resolve_seed, supports_proba)
 from .errors import InfbenchError, InsufficientClassMembers, MetaNoProba
 from .baselearners import DecisionTree, LogisticRegression, RandomForest
 
@@ -65,28 +66,19 @@ class MetaSynthesisClassifier(Estimator):
     """
 
     kind = "meta_synthesis"
+    # the scalar settings: the stacked estimators are models of their own
+    rules = {"cv": integer(2), "use_probas": FLAG, "use_original_features": FLAG, "seed": SEED}
 
     def __init__(self, base_estimators=None, meta_estimator=None, cv: int = 5,
                  use_probas: bool = True, use_original_features: bool = False,
                  seed: int | None = None):
-        if cv < 2:
-            raise InfbenchError(f"cv must be >= 2, got {cv}")
+        self.set_hyperparams(locals())
         self.base_estimators = (default_bases() if base_estimators is None
                                 else list(base_estimators))
         if not self.base_estimators:
             raise InfbenchError("at least one base estimator is required")
         self.meta_estimator = (meta_estimator if meta_estimator is not None
                                else LogisticRegression())
-        self.cv = cv
-        self.use_probas = use_probas
-        self.use_original_features = use_original_features
-        self.seed = seed
-
-    def hyperparams(self) -> dict:
-        """The scalar settings; the stacked estimators are models of their own."""
-        params = super().hyperparams()
-        del params["base_estimators"], params["meta_estimator"]
-        return params
 
     def fresh_clone(self, seed: int | None = None) -> "MetaSynthesisClassifier":
         clone = super().fresh_clone(seed)

@@ -3,10 +3,12 @@
 Covers out-of-fold isolation, direction invariances, exact split search,
 gradient correctness, scoring math against an exact reimplementation,
 normalization and probability-mass guarantees on the bundled datasets, the
-bundled leaderboard ordering, schedule independence of artifacts, and the
+bundled leaderboard ordering, schedule independence of artifacts (and the
+serial ``results.json`` against the regression oracle's digest), and the
 documented model reductions.
 """
 
+import hashlib
 import os
 import time
 
@@ -38,6 +40,7 @@ from conftest import make_blobs
 from test_bench import oracle_mean, oracle_normalize, oracle_ranks
 from test_logistic import gradient_error
 from test_metasynthesis import Memorizer
+from test_oracle import load_oracle
 from test_tree import oracle_grow, random_case
 
 
@@ -186,7 +189,7 @@ def test_gate_06_normalization_and_probability_mass():
 @pytest.fixture(scope="module")
 def bundled_runs(tmp_path_factory):
     saved = os.environ.get("SOURCE_DATE_EPOCH")
-    os.environ["SOURCE_DATE_EPOCH"] = "1700000000"
+    os.environ["SOURCE_DATE_EPOCH"] = "0"  # as scripts/oracle.py pins it
     try:
         specs = load_registry(bundled_manifest_path())
         models = {e.model_id: (e.make(), e.generator) for e in MODELS.values()}
@@ -226,6 +229,9 @@ def test_gate_08_artifacts_schedule_independent(bundled_runs):
     p_results, p_table = bundled_runs["pooled_paths"]
     assert s_results.read_bytes() == p_results.read_bytes()
     assert s_table.read_bytes() == p_table.read_bytes()
+    # and the serial results.json is the regression oracle's recorded one
+    digest = hashlib.sha256(s_results.read_bytes()).hexdigest()
+    assert digest == load_oracle().recorded()["results.json"]
 
 
 def test_gate_09_model_reductions():

@@ -604,6 +604,12 @@ def test_protocol_validation():
         EvalProtocol(folds=1)
 
 
+@pytest.mark.parametrize("name, value", [("folds", 2.5), ("folds", True), ("seed", "x")])
+def test_protocol_settings_follow_the_integer_rule(name, value):
+    with pytest.raises(InfbenchError, match=f"{name}={value!r}, need {name} "):
+        EvalProtocol(**{name: value})
+
+
 def test_evaluate_separable_dataset(tiny_registry):
     specs = load_registry(tiny_registry)
     data = ingest_csv(specs[0])

@@ -598,6 +598,12 @@ MALFORMED_ARTIFACTS = [
     pytest.param("directional_forest",
                  lambda d: _state(d)["trees"][1]["root"].update(feature=-1),
                  "feature", id="negative_feature"),
+    pytest.param("decision_tree",
+                 lambda d: _state(d)["tree"]["root"].update(feature=1.5),
+                 "feature", id="fractional_feature"),
+    pytest.param("random_forest",
+                 lambda d: _state(d)["trees"][0]["root"].update(threshold="0.5"),
+                 "threshold", id="text_threshold"),
     pytest.param("random_forest", lambda d: _widen_leaves(_state(d)["trees"]),
                  "n_classes", id="trees_wider_than_classes"),
     pytest.param("directional_forest",
@@ -630,6 +636,18 @@ MALFORMED_ARTIFACTS = [
     pytest.param("logistic_regression",
                  lambda d: _state(d)["hyperparams"].update(lr=0.1),
                  "'lr'", id="retired_lr_hyperparam"),
+    pytest.param("decision_tree",
+                 lambda d: _state(d)["hyperparams"].update(max_depth=-1),
+                 "max_depth=-1", id="negative_max_depth"),
+    pytest.param("random_forest",
+                 lambda d: _state(d)["hyperparams"].update(n_estimators=2.5),
+                 "n_estimators=2.5", id="fractional_n_estimators"),
+    pytest.param("logistic_regression",
+                 lambda d: _state(d)["hyperparams"].update(tol=0),
+                 "tol=0", id="zero_tol"),
+    pytest.param("meta_synthesis",
+                 lambda d: _state(d)["hyperparams"].update(cv=1),
+                 "cv=1", id="meta_cv_1"),
     pytest.param("logistic_regression", lambda d: _state(d)["mean"].pop(),
                  "shapes", id="mean_one_short"),
     pytest.param("logistic_regression", lambda d: _state(d)["intercept"].append(0.5),

@@ -1,12 +1,15 @@
 """One contract, five models: the shared estimator behavior, parametrized."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from infbench.baselearners import DecisionTree, LogisticRegression, RandomForest
 from infbench.core import supports_proba
 from infbench.directional import DirectionalForest
-from infbench.errors import DimensionMismatch, NotFitted
+from infbench.errors import DimensionMismatch, InfbenchError, NotFitted
 from infbench.metasynthesis import MetaSynthesisClassifier
 from infbench.bench import encode_table
 from infbench.serialize import (
@@ -138,6 +141,42 @@ def test_hyperparams_declared_once(proto, data):
     assert clone.hyperparams() == expected
     est.fit(X, y)
     assert est.get_state()["hyperparams"] == params
+    # the rules table names exactly the __init__ arguments, in their order,
+    # less the stacker's two estimator arguments
+    names = list(inspect.signature(type(est).__init__).parameters)[1:]
+    stacked = ("base_estimators", "meta_estimator")
+    assert list(type(est).rules) == [n for n in names if n not in stacked]
+
+
+TREE_SETTINGS = [("max_depth", 2.5), ("max_depth", -1), ("min_samples_leaf", 0),
+                 ("min_samples_leaf", -3), ("min_samples_split", 0),
+                 ("max_features", "log2"), ("seed", "x")]
+BAD_SETTINGS = [
+    *[(cls, name, value) for cls in (DecisionTree, RandomForest, DirectionalForest)
+      for name, value in TREE_SETTINGS],
+    *[(cls, "n_estimators", 2.5) for cls in (RandomForest, DirectionalForest)],
+    (LogisticRegression, "max_iter", 0),
+    (LogisticRegression, "tol", -1),
+    (LogisticRegression, "l2", float("inf")),
+    (MetaSynthesisClassifier, "cv", 2.5),
+    (MetaSynthesisClassifier, "seed", "x"),
+]
+
+
+@pytest.mark.parametrize("cls, name, value", BAD_SETTINGS,
+                         ids=lambda v: getattr(v, "kind", str(v)))
+def test_a_setting_outside_its_rule_is_refused_at_construction(cls, name, value):
+    message = f"{cls.kind}: {name}={value!r}, need {name} "
+    with pytest.raises(InfbenchError, match=re.escape(message)):
+        cls(**{name: value})
+
+
+def test_numpy_integer_settings_grow_the_python_integer_tree(data):
+    X, y = data
+    python = DecisionTree(max_depth=2, min_samples_leaf=3, max_features=1, seed=4)
+    numpy = DecisionTree(max_depth=np.int64(2), min_samples_leaf=np.int32(3),
+                         max_features=np.int64(1), seed=np.uint64(4))
+    assert numpy.fit(X, y).get_state()["tree"] == python.fit(X, y).get_state()["tree"]
 
 
 @pytest.mark.parametrize("proto", PROTOTYPES)

@@ -26,21 +26,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n, n_classes) float matrix with a 1.0 in each row's class column."""
-    Y = np.zeros((y_idx.size, n_classes))
-    Y[np.arange(y_idx.size), y_idx] = 1.0
-    return Y
-
-
-def gradient(P: np.ndarray, W: np.ndarray, X: np.ndarray, Y: np.ndarray,
-             l2: float):
-    """Gradients w.r.t. W and b of ``loss_and_gradient``'s loss, given the
-    softmax probabilities ``P`` and the one-hot targets ``Y``."""
-    R = (P - Y) / X.shape[0]
-    return X.T @ R + l2 * W, R.sum(axis=0)
-
-
 def loss_and_gradient(W: np.ndarray, b: np.ndarray, X: np.ndarray,
                       y_idx: np.ndarray, l2: float):
     """Mean cross-entropy with L2 on W, and its gradients w.r.t. W and b.
@@ -53,7 +38,10 @@ def loss_and_gradient(W: np.ndarray, b: np.ndarray, X: np.ndarray,
     # clip keeps log finite; at float64 P only underflows for margins ~>700
     loss = -np.mean(np.log(np.clip(correct, 1e-300, None)))
     loss += 0.5 * l2 * float(np.sum(W * W))
-    return (loss, *gradient(P, W, X, one_hot(y_idx, W.shape[1]), l2))
+    R = P.copy()  # (P - one-hot targets) / n
+    R[np.arange(n), y_idx] -= 1.0
+    R /= n
+    return loss, X.T @ R + l2 * W, R.sum(axis=0)
 
 
 class LogisticRegression(Estimator):

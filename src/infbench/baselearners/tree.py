@@ -238,6 +238,8 @@ class NodeTable:
     tree's longest root-to-leaf path and ``depth`` the largest.  ``bound``,
     ``proba`` and ``vote`` hold each node's threshold (+inf at a leaf), class
     distribution and argmax, for ``descend`` and for one-gather outputs.
+    ``to_dicts`` and ``from_dicts`` are the tree codec: each writes or reads
+    the whole table in one pass, as the nested trees an artifact holds.
     """
 
     def __init__(self, feature, threshold, left, counts, roots, depths, n_features: int):
@@ -269,7 +271,7 @@ class NodeTable:
 
     @classmethod
     def from_dicts(cls, trees: list, n_classes: int, n_features: int) -> "NodeTable":
-        """The table of trees in ``TreeModel.to_dict`` form, each of
+        """The table of trees in ``to_dicts`` form, each of
         ``n_classes`` and ``n_features``; raises ValueError on a malformed tree."""
         feature, threshold, left, counts, roots, depths = [], [], [], [], [], []
         zeros = [0] * n_classes
@@ -312,6 +314,20 @@ class NodeTable:
             raise ValueError("leaf counts must be integers")
         return cls(feature, threshold, left, counts, roots, depths, n_features)
 
+    def to_dicts(self) -> list:
+        """Each tree as ``{n_classes, n_features, root}``, its nodes nested as
+        ``{feature, threshold, left, right}`` at a split and ``{counts}`` at a
+        leaf: the form ``from_dicts`` reads back."""
+        left = self.left.tolist()
+        nodes = zip(self.feature.tolist(), self.threshold.tolist(), left, self.counts.tolist())
+        node = [{"counts": c} if j == i else {"feature": f, "threshold": t}
+                for i, (f, t, j, c) in enumerate(nodes)]
+        for i, j in enumerate(left):
+            if j != i:
+                node[i]["left"], node[i]["right"] = node[j], node[j + 1]
+        return [{"n_classes": self.n_classes, "n_features": self.n_features, "root": node[r]}
+                for r in self.roots.tolist()]
+
     def trees(self) -> list:
         """Each tree as its own ``TreeModel``, numbered from its root."""
         ends = np.append(self.roots[1:], self.left.size).tolist()
@@ -335,28 +351,8 @@ class TreeModel(NodeTable):
         return self.vote[descend(self, X)[0]]
 
     def to_dict(self) -> dict:
-        """Nested ``{feature, threshold, left, right}`` / ``{counts}`` form, which
-        ``NodeTable.from_dicts`` reads back."""
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, counts = self.left.tolist(), self.counts.tolist()
-        # children follow their parent, so a reverse sweep meets both
-        # children of a split before the split itself
-        node = [None] * len(left)
-        for i in reversed(range(len(left))):
-            if left[i] == i:
-                node[i] = {"counts": counts[i]}
-            else:
-                node[i] = {
-                    "feature": feature[i],
-                    "threshold": threshold[i],
-                    "left": node[left[i]],
-                    "right": node[left[i] + 1],
-                }
-        return {
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "root": node[0],
-        }
+        """The tree in the nested form of ``NodeTable.to_dicts``."""
+        return self.to_dicts()[0]
 
 
 def tree_params(est) -> dict:
@@ -524,7 +520,7 @@ class TreeEnsemble(Estimator):
                 f"cannot save {self.kind}: it has a tree of depth {self.table_.depth}, "
                 f"and an artifact holds trees of depth {MAX_SAVED_DEPTH} at most"
             )
-        return {**state, "trees": [t.to_dict() for t in self.trees_]}
+        return {**state, "trees": self.table_.to_dicts()}
 
     @classmethod
     def from_state(cls, state: dict, n_features: int | None = None) -> "TreeEnsemble":

@@ -165,12 +165,10 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
 
     fold_accuracies = {}
     failures = []
-    means = {}
     stopped = {}
     for model_id, dataset_id, accs, error, caught in outcomes:
         if error is None:
             fold_accuracies[(model_id, dataset_id)] = accs
-            means[(model_id, dataset_id)] = sum(accs) / len(accs)
         else:
             failures.append(
                 {"model": model_id, "dataset": dataset_id, "error": error}
@@ -185,7 +183,8 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
     failed_models = {f["model"] for f in failures}
     surviving = [m for m in model_ids if m not in failed_models]
     table = ScoreTable(model_ids=surviving, dataset_ids=dataset_ids, raw={
-        cell: score for cell, score in means.items() if cell[0] not in failed_models
+        cell: sum(accs) / len(accs) for cell, accs in fold_accuracies.items()
+        if cell[0] not in failed_models
     })
     leaderboard = None
     if len(surviving) >= 2:

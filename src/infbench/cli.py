@@ -162,10 +162,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except InfbenchError as e:
-        log.error("%s", e)
-        return 1
-    except OSError as e:
+    except (InfbenchError, OSError) as e:
         log.error("%s", e)
         return 1
 

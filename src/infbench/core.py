@@ -204,6 +204,11 @@ def check_params(owner: str, rules: dict, values: dict) -> None:
             raise InfbenchError(f"{owner}: {name}={values[name]!r}, need {name} {need}")
 
 
+def python_value(v):
+    """A numpy scalar (e.g. np.int64) as its Python value; anything else as it is."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
 class Estimator:
     """Behavioral contract every model in the package implements.
 
@@ -223,9 +228,10 @@ class Estimator:
     classes_: ClassSet | None = None
 
     def set_hyperparams(self, args: dict) -> None:
-        """Check ``rules``' names in ``args``, and store each under its name."""
+        """Check ``rules``' names in ``args``, and store each under its name,
+        a numpy scalar as its Python value."""
         check_params(self.kind, self.rules, args)
-        vars(self).update((name, args[name]) for name in self.rules)
+        vars(self).update((name, python_value(args[name])) for name in self.rules)
 
     def fit(self, X, y) -> "Estimator":
         raise NotImplementedError
@@ -251,9 +257,7 @@ class Estimator:
     def get_state(self) -> dict:
         """JSON-ready fitted state; each model adds its learned parameters."""
         self._require_fitted()
-        # numpy scalar labels (e.g. np.int64) become their Python values
-        classes = [lab.item() if isinstance(lab, np.generic) else lab
-                   for lab in self.classes_.labels]
+        classes = [python_value(lab) for lab in self.classes_.labels]
         return {"hyperparams": self.hyperparams(), "classes": classes}
 
     @classmethod

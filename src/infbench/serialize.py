@@ -70,6 +70,8 @@ def load_model_artifact(path):
         raise IngestError(f"{path} is not valid JSON: {e}") from e
     except RecursionError as e:
         raise IngestError(f"{path} nests too deeply to read") from e
+    if not isinstance(doc, dict):
+        raise IngestError(f"{path} is not a model artifact")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(

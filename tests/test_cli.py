@@ -316,6 +316,22 @@ def test_predict_rejects_future_format_version(registry, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+def test_predict_artifact_that_is_not_an_object_exits_1(tmp_path, capsys, text):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text)
+    write_csv(tmp_path / "a.csv", ["f1", "f2"], [["1", "2"]])
+    capsys.readouterr()
+    code = main([
+        "predict", "--model-file", str(model_path),
+        "--data", str(tmp_path / "a.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(model_path) in err[0] and "not a model artifact" in err[0]
+
+
 BAD_CSVS = [
     pytest.param(b"\xff\xfef1,f2,label\n1,2,neg\n", "not UTF-8", id="not-utf8"),
     pytest.param(b"f1,f1,label\n1,80,neg\n7,20,pos\n", "'f1' more than once",

@@ -194,5 +194,24 @@ def test_numpy_integer_labels_survive_an_artifact(proto, data, tmp_path):
     assert set(loaded.predict(X).tolist()) <= {0, 1, 2}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DecisionTree(max_depth=np.int64(2)),
+    lambda: RandomForest(n_estimators=np.int64(3), seed=np.uint64(5)),
+    lambda: LogisticRegression(tol=np.float32(1e-6)),
+], ids=["decision_tree", "random_forest", "logistic"])
+def test_numpy_scalar_settings_survive_an_artifact(make, data, tmp_path):
+    X, y = data
+    est = make().fit(X, y)
+    header = ["f0", "f1", "label"]
+    rows = [[repr(float(a)), repr(float(b)), lab] for (a, b), lab in zip(X, y)]
+    kinds = {"f0": "numeric", "f1": "numeric"}
+    encoder = encode_table("blobs", header, rows, "label", kinds).encoder
+    path = save_model_artifact(tmp_path / "model.json", "m", est, encoder)
+    _, loaded, _ = load_model_artifact(path)
+    assert loaded.hyperparams() == est.hyperparams()
+    assert loaded.predict(X).tolist() == est.predict(X).tolist()
+    assert loaded.predict_proba(X).tobytes() == est.predict_proba(X).tobytes()
+
+
 def test_directional_has_no_probability_surface():
     assert not supports_proba(DirectionalForest())

@@ -1,5 +1,6 @@
 """Decision tree tests, including the exact brute-force split oracle."""
 
+import json
 from collections import Counter, deque
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infbench.baselearners import DecisionTree
+from infbench.baselearners import DecisionTree, RandomForest
 from infbench.baselearners import tree as tree_module
 from infbench.baselearners.tree import NodeTable, descend, descend_blocks, grow_tree, node_features
 from infbench.core import derive_seed, encode_labels, splitmix64
@@ -447,12 +448,19 @@ def nested_tree(draw, n_features: int, depth: int) -> dict:
 
 
 @st.composite
-def descent_case(draw):
-    """Trees from single leaves to 7 levels deep, and rows over ``EDGE_VALUES``."""
+def nested_trees(draw) -> tuple:
+    """A feature count f, and one to five trees of f features from single
+    leaves to 7 levels deep."""
     f = draw(st.integers(1, 3))
-    trees = [{"n_classes": 2, "n_features": f,
-              "root": draw(nested_tree(f, draw(st.sampled_from([0, 1, 3, 7]))))}
-             for _ in range(draw(st.integers(1, 5)))]
+    return f, [{"n_classes": 2, "n_features": f,
+                "root": draw(nested_tree(f, draw(st.sampled_from([0, 1, 3, 7]))))}
+               for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def descent_case(draw):
+    """Trees from ``nested_trees``, and rows over ``EDGE_VALUES``."""
+    f, trees = draw(nested_trees())
     X = np.array(draw(st.lists(st.lists(st.sampled_from(EDGE_VALUES), min_size=f, max_size=f),
                                min_size=1, max_size=12)))
     return NodeTable.from_dicts(trees, 2, f), X
@@ -526,3 +534,28 @@ def test_descent_stops_once_no_pair_moves():
     assert table.depth == 6
     assert descend(spy, X).tolist() == walked_leaves(table, X).tolist()
     assert spy.bound.reads == 2
+
+
+# -- the tree codec: to_dicts and from_dicts ------------------------------------
+
+
+@given(nested_trees())
+@settings(max_examples=150, deadline=None)
+def test_nested_trees_read_back_from_their_table(case):
+    f, trees = case
+    got = NodeTable.from_dicts(trees, 2, f).to_dicts()
+    assert got == trees
+    # and in the artifact's text, where -0.0 and 0.0 differ
+    assert json.dumps(got, sort_keys=True) == json.dumps(trees, sort_keys=True)
+
+
+def test_a_fitted_forest_reads_back_from_its_dicts():
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 6, (120, 4)).astype(float)
+    y = rng.integers(0, 3, 120)
+    table = RandomForest(n_estimators=6, seed=2).fit(X, y).table_
+    back = NodeTable.from_dicts(table.to_dicts(), table.n_classes, table.n_features)
+    assert table.depth > 3
+    for name in ("feature", "threshold", "left", "counts", "roots", "depths"):
+        got, want = getattr(back, name), getattr(table, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -16,7 +16,7 @@ line each.  The script exits 1, naming each digest that differs from its
 record, and 0 when all eleven match.  A change that alters behaviour on purpose
 updates that file in the same diff.
 
-Run from the repository root (it takes about a minute on two CPUs):
+Run from the repository root (it takes about 9 s on two CPUs):
 
     python3 scripts/oracle.py
 

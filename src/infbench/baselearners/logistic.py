@@ -134,6 +134,8 @@ class LogisticRegression(Estimator):
         if shapes != [(d,), (d,), (d, C), (C,)]:
             raise ValueError(f"mean, scale, coef and intercept have shapes "
                              f"{shapes}, expected {[(d,), (d,), (d, C), (C,)]}")
+        if (est.scale_ <= 0).any():
+            raise ValueError("scale holds a value <= 0")  # fit never makes one
         est.n_iter_ = int(state["n_iter"])
         est.n_features_ = est.coef_.shape[0]
         return est

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (FLAG, SEED, Estimator, check_fit_inputs, derive_seed, integer,
-                   resolve_seed, supports_proba)
+                   resolve_seed, splitmix64, supports_proba)
 from .errors import InfbenchError, InsufficientClassMembers, MetaNoProba
 from .baselearners import DecisionTree, LogisticRegression, RandomForest
 
@@ -30,21 +30,21 @@ def default_bases() -> list:
 def stratified_folds(y_idx: np.ndarray, cv: int, seed: int) -> np.ndarray:
     """Assign each row a fold index in [0, cv), stratified by class.
 
-    Members of each class are shuffled with a per-class derived stream and
-    dealt round-robin, so per-class fold sizes differ by at most one and the
-    assignment is a pure function of (y, cv, seed).
+    Each class's rows are dealt round-robin in order of ``splitmix64(seed,
+    row)``.  The mix is a bijection, so the keys are distinct and each class's
+    order is a uniform permutation; per-class fold sizes differ by at most one.
     """
     y_idx = np.asarray(y_idx, dtype=np.int64)
     if cv < 2:
         raise InfbenchError(f"cv must be >= 2, got {cv}")
-    fold_of = np.empty(y_idx.shape[0], dtype=np.int64)
-    for c in range(int(y_idx.max()) + 1):
-        members = np.flatnonzero(y_idx == c)
-        if members.size < cv:
-            raise InsufficientClassMembers(c, int(members.size), cv)
-        rng = np.random.default_rng(derive_seed(seed, c))
-        members = members[rng.permutation(members.size)]
-        fold_of[members] = np.arange(members.size) % cv
+    counts = np.bincount(y_idx)
+    short = np.flatnonzero(counts < cv)
+    if short.size:
+        raise InsufficientClassMembers(int(short[0]), int(counts[short[0]]), cv)
+    order = np.lexsort((splitmix64(resolve_seed(seed), np.arange(y_idx.size)), y_idx))
+    rank = np.arange(y_idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    fold_of = np.empty_like(y_idx)
+    fold_of[order] = rank % cv
     return fold_of
 
 
@@ -98,11 +98,15 @@ class MetaSynthesisClassifier(Estimator):
         configured.
         """
         A, y_idx, classes = check_fit_inputs(X, y)
+        return self._oof(A, y_idx, classes, np.fromiter(y, dtype=object, count=len(y)))
+
+    def _oof(self, A, y_idx, classes, raw):
+        """``oof_meta_features`` on inputs ``check_fit_inputs`` has encoded;
+        ``raw`` holds the label objects the clones fit on."""
         base = resolve_seed(self.seed)
         fold_of = stratified_folds(y_idx, self.cv, derive_seed(base, 0))
         m = len(self.base_estimators)
         blocks = [None] * m
-        raw = np.fromiter(y, dtype=object, count=len(y))
         for k in range(self.cv):
             test = fold_of == k
             train = ~test
@@ -117,11 +121,11 @@ class MetaSynthesisClassifier(Estimator):
 
     def fit(self, X, y) -> "MetaSynthesisClassifier":
         A, y_idx, classes = check_fit_inputs(X, y)
+        raw = np.fromiter(y, dtype=object, count=len(y))
         base = resolve_seed(self.seed)
         m = len(self.base_estimators)
 
-        meta, _ = self.oof_meta_features(A, y)
-        raw = np.fromiter(y, dtype=object, count=len(y))
+        meta, _ = self._oof(A, y_idx, classes, raw)
         self.base_models_ = []
         for j, proto in enumerate(self.base_estimators):
             clone = proto.fresh_clone(seed=derive_seed(base, 1 + self.cv * m + j))

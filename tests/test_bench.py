@@ -43,6 +43,7 @@ from infbench.errors import (
     UnknownColumn,
     UnparseableCell,
 )
+from infbench.metasynthesis import MetaSynthesisClassifier
 
 
 # ---------------------------------------------------------------- ingestion
@@ -647,6 +648,20 @@ def test_run_benchmark_complete_grid(tiny_registry, monkeypatch):
 
     again = result_document(run_benchmark(specs, real_models(), protocol))
     assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+def test_results_path_draws_no_numpy_generator(tiny_registry, monkeypatch):
+    # folds, bootstraps and feature subsets are all SplitMix64 hashes
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    specs = load_registry(tiny_registry)
+    data = ingest_csv(specs[0])
+    MetaSynthesisClassifier(cv=3, seed=5).fit(data.X, data.y)
+    models = {**real_models(), "meta_synthesis": (MetaSynthesisClassifier(cv=3), "user")}
+    result = run_benchmark(specs, models, EvalProtocol(folds=3, seed=7))
+    assert result.ok
 
 
 @pytest.mark.parametrize("empty", ["specs", "models"])

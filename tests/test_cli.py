@@ -650,6 +650,12 @@ MALFORMED_ARTIFACTS = [
                  lambda d: _state(d)["scale"].__setitem__(0, float("inf")),
                  "scale", id="infinite_scale"),
     pytest.param("logistic_regression",
+                 lambda d: _state(d).update(scale=[0.0] * len(_state(d)["scale"])),
+                 "scale", id="zero_scale"),
+    pytest.param("logistic_regression",
+                 lambda d: _state(d)["scale"].__setitem__(1, -0.5),
+                 "scale", id="negative_scale"),
+    pytest.param("logistic_regression",
                  lambda d: _state(d)["hyperparams"].update(lr=0.1),
                  "'lr'", id="retired_lr_hyperparam"),
     pytest.param("decision_tree",

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from infbench import metasynthesis
 from infbench.baselearners import DecisionTree, LogisticRegression, RandomForest
-from infbench.core import Estimator, check_fit_inputs
+from infbench.core import Estimator, check_fit_inputs, derive_seed
 from infbench.errors import InfbenchError, InsufficientClassMembers, MetaNoProba
 from infbench.metasynthesis import MetaSynthesisClassifier, stratified_folds
 
@@ -86,6 +87,48 @@ def test_stratified_folds_sizes_within_one():
     for c in range(3):
         sizes = [int(((folds == k) & (y == c)).sum()) for k in range(5)]
         assert max(sizes) - min(sizes) <= 1
+
+
+def reference_folds(y, cv, seed):
+    """The fold rule in plain Python: each class's rows, sorted by their
+    SplitMix64 key, are dealt round-robin."""
+    fold_of = [None] * len(y)
+    for c in set(y):
+        rows = sorted((r for r in range(len(y)) if y[r] == c),
+                      key=lambda r: derive_seed(seed, r))
+        for i, r in enumerate(rows):
+            fold_of[r] = i % cv
+    return fold_of
+
+
+@pytest.mark.parametrize("y, cv, seed", [
+    ([0, 1] * 6, 3, 0),
+    ([0] * 4 + [1] * 7 + [2] * 5, 4, 9),  # class 0 has exactly cv rows
+    ([2, 0, 1, 1, 0, 2, 0, 1, 2, 2, 1, 0, 0], 3, 2**63 + 5),
+    ([1, 0] * 3 + [1] * 5, 2, -3),
+    (np.random.default_rng(5).integers(0, 3, 40).tolist(), 5, 1234),
+])
+def test_stratified_folds_match_a_plain_reference(y, cv, seed):
+    assert stratified_folds(np.array(y), cv, seed).tolist() == reference_folds(y, cv, seed)
+
+
+def test_stratified_folds_name_the_lowest_short_class():
+    with pytest.raises(InsufficientClassMembers) as err:  # class 1 has no rows
+        stratified_folds(np.array([0] * 3 + [2] * 2 + [3]), 3, seed=0)
+    assert (err.value.class_index, err.value.count) == (1, 0)
+
+
+def test_fit_validates_its_inputs_once(monkeypatch):
+    calls = []
+
+    def spy(X, y):
+        calls.append(len(y))
+        return check_fit_inputs(X, y)
+
+    monkeypatch.setattr(metasynthesis, "check_fit_inputs", spy)
+    X, y = make_blobs(n_per_class=30, seed=4)
+    MetaSynthesisClassifier(cv=3, seed=2).fit(X, y)
+    assert calls == [60]
 
 
 def test_no_leakage_memorizer_all_zero():

@@ -5,7 +5,8 @@ near-ties in exact integer arithmetic, so the chosen split is a pure function
 of the node's sample multiset: independent of row order, summation order, and
 platform rounding.  Thresholds are midpoints between consecutive distinct
 sorted values of a feature; ties between equally good splits go to the lowest
-feature index, then the lowest threshold.
+feature index, then the lowest threshold.  With ``min_samples_leaf`` 1 the
+search skips the cuts inside runs of one class, which cannot win.
 
 Trees grow breadth first, all trees of a fit together: each depth level's
 nodes are searched in a few blocks over arrays, and a fitted tree's nodes are
@@ -63,6 +64,20 @@ def _columns(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (end - sizes), sizes) + np.arange(end[-1] if end.size else 0)
 
 
+def _kept_cuts(key, y_sorted, ends, min_samples_leaf: int) -> np.ndarray:
+    """The cuts ``_search_nodes`` scores, (k, n - 1): cut i parts positions i
+    and i + 1 of each candidate's sorted keys (node, then value rank) and
+    classes ``y_sorted``; ``ends`` are the nodes' ends."""
+    cut = key[:, 1:] != key[:, :-1]
+    if min_samples_leaf == 1:
+        inside = y_sorted[:, 1:] == y_sorted[:, :-1]
+        inside[:, 1:] &= cut[:, :-1]
+        inside[:, :-1] &= cut[:, 1:]
+        cut &= ~inside
+    cut[:, ends[:-1] - 1] = False
+    return cut
+
+
 def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_samples_leaf: int):
     """Best split of each node of a block, scored together in one segmented
     search.
@@ -81,10 +96,15 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_sam
     q = sum(left_counts^2)/n_l + sum(right_counts^2)/n_r, a ratio of small
     integers, where counts and sizes add up multiplicities.  q is scored only
     at the boundaries between a node's distinct values of a column, the only
-    places a threshold can split.  Floats pre-select near-maximal candidates,
-    then exact integer cross-multiplication picks the true maximum and
-    applies tie-breaking, and the positive-gain test (q > sum(counts^2)/n) is
-    exact as well.
+    places a threshold can split, less those inside a run of one class: the
+    cuts between two one-row value groups of one class.  Along such a run q
+    is strictly convex in an impure node, so a cut inside it scores below the
+    better end of the run (Fayyad & Irani, Machine Learning 8, 1992).  That
+    end is always admissible when ``min_samples_leaf`` is 1; a larger minimum
+    can bar it, so then every boundary is scored.  Floats pre-select
+    near-maximal candidates, then exact integer cross-multiplication picks
+    the true maximum and applies tie-breaking, and the positive-gain test
+    (q > sum(counts^2)/n) is exact as well.
     """
     n = sample.shape[1]
     ends = np.cumsum(sizes)
@@ -93,7 +113,8 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_sam
     rows, mult = sample
     # each row's class counts: its multiplicity, in its class's column
     counts = np.zeros((n, n_classes), dtype=np.int64)
-    counts[np.arange(n), y_idx[rows]] = mult
+    y_row = y_idx[rows]
+    counts[np.arange(n), y_row] = mult
     total = np.add.reduceat(counts, starts)  # each node's class counts
     # One int64 key per (candidate, row): node, then value rank, then the
     # row's position in its low bits, which the sort carries along.  The key
@@ -109,12 +130,9 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_sam
     key.sort(axis=1)
     pos = key & ((1 << shift) - 1)
     key >>= shift
-    # boundaries between distinct values inside a node, listed by column,
-    # then by position: the order of the tie-break
-    cut = key[:, 1:] != key[:, :-1]
-    cut[:, ends[:-1] - 1] = False
-    bj, bp = np.nonzero(cut)
-    del key, cut
+    # the kept cuts, listed by column, then by position: the order of the tie-break
+    bj, bp = np.nonzero(_kept_cuts(key, y_row[pos], ends, min_samples_leaf))
+    del key
     m = seg[bp]
     # running class counts of each candidate's sorted rows, (n, k, C), read
     # at the boundaries, less those of the nodes ahead

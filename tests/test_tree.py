@@ -344,6 +344,59 @@ def test_search_children_partition_their_parent(case):
         assert np.array_equal(a_counts, counts[2 * r:2 * r + 2])
 
 
+@st.composite
+def run_case(draw):
+    """A small table whose classes come in long runs along the rows, with
+    features that follow the rows in steps of 0 (a tie) or 1, or are
+    shuffled; one node's sample of distinct rows with multiplicities; and a
+    leaf minimum."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 5)), min_size=1, max_size=5))
+    y = np.repeat(*np.array(runs).T)
+    n, f = y.size, draw(st.integers(1, 3))
+    X = np.empty((n, f))
+    for j in range(f):
+        X[:, j] = np.cumsum(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            X[:, j] = X[draw(st.permutations(range(n))), j]
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    mult = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    return X, y, rows, mult, draw(st.integers(1, 3))
+
+
+# A cut inside the b-run is the only one that leaves 3 rows a side; pruning it
+# regardless of the leaf minimum would find no split.
+@given(run_case())
+@example((np.arange(6.0)[:, None], np.array([0, 0, 1, 1, 1, 1]), list(range(6)), [1] * 6, 3))
+@settings(max_examples=200, deadline=None)
+def test_search_matches_the_exhaustive_oracle(case):
+    X, y, rows, mult, min_samples_leaf = case
+    sample = np.array([rows, mult], dtype=np.int32)
+    node, feature, threshold = search(X, tree_module.column_ranks(X), y, 3,
+                                      [(sample, np.arange(X.shape[1]))], min_samples_leaf)[:3]
+    got = (int(feature[0]), float(threshold[0])) if node.size else None
+    drawn = np.repeat(rows, mult)
+    assert got == oracle_best_split(X[drawn], y[drawn], 3, min_samples_leaf)
+
+
+def kept(values, classes, ends, min_samples_leaf=1) -> list:
+    """``_kept_cuts`` of one sorted candidate column."""
+    return tree_module._kept_cuts(np.array([values]), np.array([classes]), np.array(ends),
+                                  min_samples_leaf)[0].tolist()
+
+
+def test_kept_cuts_skip_the_inside_of_one_class_runs():
+    F, T = False, True
+    # one cut, where the class changes
+    assert kept([0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1], [6]) == [F, F, T, F, F]
+    # the tied value 2 holds both classes: both of its sides are kept
+    assert kept([0, 1, 2, 2, 3, 4], [0, 0, 0, 1, 1, 1], [6]) == [F, T, F, T, F]
+    # a larger leaf minimum keeps every cut between distinct values
+    assert kept([0, 1, 2, 2, 3, 4], [0, 0, 0, 1, 1, 1], [6], 2) == [T, T, F, T, T]
+    # a node's end is never a cut; node 1's first row starts a value group
+    assert kept([0, 1, 10, 11, 12], [0, 0, 0, 0, 1], [2, 5]) == [F, F, F, T]
+    assert kept([0, 1, 10, 11, 12], [0, 0, 0, 0, 1], [2, 5], 2) == [T, F, T, T]
+
+
 # -- level-order growth against a one-node-at-a-time reference ---------------------
 
 def reference_subset(key: int, ordinal: int, F: int, k: int) -> np.ndarray:

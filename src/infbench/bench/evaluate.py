@@ -131,6 +131,7 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
         raise InfbenchError(f"workers must be >= 1, got {workers}")
     if not specs or not models:
         raise InfbenchError("a benchmark needs at least one dataset and one model")
+    _artifact_timestamp()  # a malformed SOURCE_DATE_EPOCH fails before the grid
     encoded = {}
     datasets = []
     for spec in specs:
@@ -205,9 +206,14 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
 
 
 def _artifact_timestamp() -> str:
+    """SOURCE_DATE_EPOCH, else now, as UTC text; InfbenchError if it is malformed."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch is not None else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        t = time.gmtime(None if epoch is None else int(epoch))
+    except (ValueError, OverflowError, OSError):
+        raise InfbenchError(f"SOURCE_DATE_EPOCH is {epoch!r}, not a whole number "
+                            "of seconds since 1970 in this platform's range") from None
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
 
 
 def result_document(result: BenchResult) -> dict:

@@ -28,18 +28,20 @@ from ..errors import (
 MISSING_CATEGORY = "__missing__"
 
 
-def _read(path: Path, whole: bool):
-    """The header of the UTF-8 CSV at ``path``, and its rows if ``whole``.
+def read_csv(path):
+    """Read a header-bearing UTF-8 CSV, returning (header, rows of str cells).
 
     A leading byte-order mark, as spreadsheet exports write it, is dropped.
-    Raises IngestError when the file is empty, is not UTF-8 text, is text the
-    ``csv`` module rejects, or its header names a column twice.
+    Raises IngestError naming the file when it is empty, is not UTF-8 text, is
+    text the ``csv`` module rejects (naming the line), names a column twice,
+    has no data rows, or has a row whose width is not the header's.
     """
+    path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             header = next(reader, None)
-            rows = list(reader) if whole else None
+            rows = list(reader)
     except UnicodeDecodeError:
         raise IngestError(f"{path} is not UTF-8 text") from None
     except csv.Error as e:
@@ -51,13 +53,6 @@ def _read(path: Path, whole: bool):
         if col in seen:
             raise IngestError(f"{path} names column {col!r} more than once")
         seen.add(col)
-    return header, rows
-
-
-def read_csv(path):
-    """Read a header-bearing CSV, returning (header, rows of str cells)."""
-    path = Path(path)
-    header, rows = _read(path, whole=True)
     if not rows:
         raise IngestError(f"{path} has a header but no data rows")
     width = len(header)
@@ -69,43 +64,39 @@ def read_csv(path):
     return header, rows
 
 
-def read_header(path) -> list:
-    return _read(Path(path), whole=False)[0]
-
-
 def _is_blank(cell: str) -> bool:
     return cell.strip() == ""
 
 
+def _float(cell: str):
+    """``float(cell)``, or None when the cell does not parse."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _parse_real(column: str, row: int, cell: str) -> float:
     """A numeric cell as a finite float; ``row`` is the 1-based data row."""
-    try:
-        value = float(cell)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+    value = _float(cell)
+    if value is None or not math.isfinite(value):
         raise UnparseableCell(column, row, cell)
     return value
 
 
+def _numeric_cells(column: str, cells, fill) -> list:
+    """A numeric column's cells parsed in row order, ``fill`` for each blank."""
+    return [fill if _is_blank(cell) else _parse_real(column, row, cell)
+            for row, cell in enumerate(cells, 1)]
+
+
 def infer_kinds(header, rows, target_column: str) -> dict:
     """Column kind per feature column: numeric iff every non-blank cell parses."""
-    kinds = {}
-    for j, col in enumerate(header):
-        if col == target_column:
-            continue
-        numeric = True
-        for row in rows:
-            cell = row[j]
-            if _is_blank(cell):
-                continue
-            try:
-                float(cell)
-            except ValueError:
-                numeric = False
-                break
-        kinds[col] = "numeric" if numeric else "categorical"
-    return kinds
+    return {
+        col: ("numeric" if all(_is_blank(row[j]) or _float(row[j]) is not None
+                               for row in rows) else "categorical")
+        for j, col in enumerate(header) if col != target_column
+    }
 
 
 @dataclass
@@ -126,19 +117,15 @@ class TableEncoder:
 
     def fit(self, header, rows) -> "TableEncoder":
         self.report = []
-        for col in self.feature_columns:
-            j = header.index(col)
-            cells = [row[j] for row in rows]
+        for col, cells in zip(self.feature_columns, self._cells(header, rows)):
             if self.kinds[col] == "numeric":
-                values = [_parse_real(col, i + 1, cell)
-                          for i, cell in enumerate(cells) if not _is_blank(cell)]
-                n_blank = len(cells) - len(values)
-                med = median(values) if values else 0.0
-                self.medians[col] = float(med)
+                values = [v for v in _numeric_cells(col, cells, None) if v is not None]
+                med = float(median(values)) if values else 0.0
+                self.medians[col] = med
                 self.report.append({
                     "column": col, "kind": "numeric",
                     "transform": "parsed as real",
-                    "imputed_blanks": n_blank, "median": float(med),
+                    "imputed_blanks": len(cells) - len(values), "median": med,
                 })
             else:
                 observed = sorted({c for c in cells if not _is_blank(c)})
@@ -154,6 +141,13 @@ class TableEncoder:
                 })
         return self
 
+    def _cells(self, header, rows) -> list:
+        """Each feature column's cells; SchemaMismatch names the first ``header`` lacks."""
+        for col in self.feature_columns:
+            if col not in header:
+                raise SchemaMismatch(col)
+        return [[row[j] for row in rows] for j in map(header.index, self.feature_columns)]
+
     def output_columns(self) -> list:
         names = []
         for col in self.feature_columns:
@@ -168,21 +162,11 @@ class TableEncoder:
 
         Categories unseen at fit time encode as all-zero one-hot blocks.
         """
-        positions = {}
-        for col in self.feature_columns:
-            if col not in header:
-                raise SchemaMismatch(col)
-            positions[col] = header.index(col)
         blocks = []
-        for col in self.feature_columns:
-            j = positions[col]
-            cells = [row[j] for row in rows]
+        for col, cells in zip(self.feature_columns, self._cells(header, rows)):
             if self.kinds[col] == "numeric":
-                vals = np.empty(len(cells), dtype=np.float64)
-                for i, cell in enumerate(cells):
-                    vals[i] = (self.medians[col] if _is_blank(cell)
-                               else _parse_real(col, i + 1, cell))
-                blocks.append(vals.reshape(-1, 1))
+                vals = _numeric_cells(col, cells, self.medians[col])
+                blocks.append(np.array(vals, dtype=np.float64).reshape(-1, 1))
             else:
                 cats = self.categories[col]
                 index = {cat: k for k, cat in enumerate(cats)}
@@ -254,9 +238,7 @@ class EncodedDataset:
 
 
 def encode_table(dataset_id, header, rows, target_column, kinds) -> EncodedDataset:
-    if target_column not in header:
-        raise UnknownColumn(target_column, dataset_id)
-    for col in kinds:
+    for col in [target_column, *kinds]:
         if col not in header:
             raise UnknownColumn(col, dataset_id)
     feature_columns = [c for c in header if c != target_column and c in kinds]

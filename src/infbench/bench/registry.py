@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ..errors import DuplicateId, IngestError, MissingFile, UnknownColumn
-from .ingest import read_header
+from ..errors import DuplicateId, IngestError, MissingFile
 
 
 @dataclass
@@ -29,8 +28,9 @@ def load_registry(manifest_path) -> list:
     """Parse and validate a manifest, returning specs in manifest order.
 
     Relative dataset paths resolve against the manifest's directory.  Every
-    referenced file must exist, ids must be unique, and the target plus all
-    schema columns must appear in the file's header.
+    referenced file must exist, ids must be unique, and every column kind must
+    be "numeric" or "categorical".  No file is opened here: ``ingest_csv``
+    checks a file's columns against its entry when it reads the file.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -58,19 +58,11 @@ def load_registry(manifest_path) -> list:
         if dataset_id in seen:
             raise DuplicateId(dataset_id)
         seen.add(dataset_id)
-        path = Path(entry["path"])
-        if not path.is_absolute():
-            path = manifest_path.parent / path
+        path = manifest_path.parent / entry["path"]  # an absolute path stays as it is
         if not path.is_file():
             raise MissingFile(str(path))
-        header = read_header(path)
-        target = entry["target_column"]
-        if target not in header:
-            raise UnknownColumn(target, dataset_id)
         kinds = dict(entry["columns"])
         for col, kind in kinds.items():
-            if col not in header:
-                raise UnknownColumn(col, dataset_id)
             if kind not in ("numeric", "categorical"):
                 raise IngestError(
                     f"dataset {dataset_id}: column {col} has unknown kind {kind!r}"
@@ -78,7 +70,7 @@ def load_registry(manifest_path) -> list:
         specs.append(DatasetSpec(
             dataset_id=dataset_id,
             path=path,
-            target_column=target,
+            target_column=entry["target_column"],
             kinds=kinds,
             note=entry.get("note", ""),
         ))

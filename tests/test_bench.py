@@ -313,20 +313,31 @@ def test_registry_missing_file(tmp_path):
 
 
 def test_registry_unknown_columns(tmp_path):
+    """The registry does not open the files; ingest checks their columns."""
     write_dataset_csv(tmp_path / "a.csv", separable_rows())
+    for target, columns, missing in [("wrong", {"f1": "numeric"}, "wrong"),
+                                     ("label", {"ghost": "numeric"}, "ghost")]:
+        manifest = make_manifest(tmp_path, [
+            {"id": "x", "path": "a.csv", "target_column": target, "columns": columns},
+        ])
+        [spec] = load_registry(manifest)
+        assert (spec.target_column, spec.kinds) == (target, columns)
+        with pytest.raises(UnknownColumn) as err:
+            ingest_csv(spec)
+        assert str(err.value) == f"column {missing!r} not found in dataset 'x'"
+
+
+def test_registry_loads_a_csv_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "a.csv"
+    bad.write_bytes(b"\xff\xfef1,label\n1,neg\n2,pos\n")
     manifest = make_manifest(tmp_path, [
-        {"id": "x", "path": "a.csv", "target_column": "wrong",
+        {"id": "x", "path": "a.csv", "target_column": "label",
          "columns": {"f1": "numeric"}},
     ])
-    with pytest.raises(UnknownColumn):
-        load_registry(manifest)
-
-    manifest2 = make_manifest(tmp_path, [
-        {"id": "x", "path": "a.csv", "target_column": "label",
-         "columns": {"ghost": "numeric"}},
-    ])
-    with pytest.raises(UnknownColumn):
-        load_registry(manifest2)
+    [spec] = load_registry(manifest)
+    with pytest.raises(IngestError) as err:
+        ingest_csv(spec)
+    assert str(err.value) == f"{bad} is not UTF-8 text"
 
 
 def test_registry_rejects_bad_kind(tmp_path):

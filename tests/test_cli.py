@@ -533,6 +533,37 @@ def test_bench_out_that_is_a_file_exits_1_before_the_grid(registry, tmp_path, ca
     assert "benchmark:" not in err[0] and "evaluated" not in err[0]
 
 
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "", str(10**20)])
+def test_malformed_source_date_epoch_exits_1_before_the_grid(registry, tmp_path, capsys,
+                                                             monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "out"
+    code = main(["bench", "--registry", str(registry), "--models", "decision_tree",
+                 "--folds", "2", "--seed", "7", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"SOURCE_DATE_EPOCH is {epoch!r}" in err[0] and "evaluated" not in err[0]
+    assert not (out / "results.json").exists()
+
+
+def test_bench_on_a_missing_column_exits_1_without_results(registry, tmp_path, capsys):
+    manifest = tmp_path / "ghost.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"id": "alpha", "path": "a.csv", "target_column": "label",
+         "columns": {"f1": "numeric"}},
+        {"id": "m", "path": "b.csv", "target_column": "label",
+         "columns": {"f1": "numeric", "ghost": "numeric"}},
+    ]}))
+    out = tmp_path / "out"
+    code = main(["bench", "--registry", str(manifest), "--models", "decision_tree",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR infbench.cli: column 'ghost' not found in dataset 'm'"]
+    assert not (out / "results.json").exists()
+
+
 def test_empty_manifest_exits_1(tmp_path, capsys):
     manifest = tmp_path / "empty.json"
     manifest.write_text(json.dumps({"datasets": []}))

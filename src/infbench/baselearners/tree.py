@@ -204,23 +204,40 @@ def descend(nodes, X: np.ndarray) -> np.ndarray:
 
     ``nodes`` holds node arrays (``feature``, ``left``, ``bound``), the index
     of each tree's root in ``roots``, and ``depth``, the longest root-to-leaf
-    path.  Each step moves every (tree, row) pair one level down with one
+    path.  The (tree, row) pairs form one tree-major vector, tree t and row r
+    at ``t * n + r``, and each carries its row's offset into ``X.ravel()``.
+    Each step moves every pair still moving one level down with one
     comparison and one gather, ``left + (x[feature] > bound)``: for finite X
     the right child exactly where ``x[feature] <= threshold`` fails, and a
-    leaf's own index, as its bound is +inf.  The descent ends after ``depth``
-    steps, or as soon as a step moves no pair.
+    leaf's own index, as its bound is +inf.  After a step where at least half
+    the live pairs stayed put, and more pairs are live than the table has
+    trees, the settled pairs are written out and dropped (stream compaction).
+    Each compaction at least halves the live pairs, and none starts once one
+    row's worth is left, so a descent compacts at most ceil(log2(n)) times
+    and a single row never does.  The descent ends after ``depth`` steps, or
+    as soon as a step moves no pair.
     """
     n, f = X.shape
+    trees = len(nodes.roots)
     flat = X.ravel()
-    row_base = np.arange(n) * f
-    node = np.repeat(nodes.roots[:, None], n, axis=1)
+    node = np.repeat(nodes.roots, n)
+    at = np.tile(np.arange(n) * f, trees)
+    pair = np.arange(node.size)
+    leaves = np.empty(node.size, dtype=np.int64)
     for _ in range(nodes.depth):
         below = nodes.left[node]
-        below += flat[row_base + nodes.feature[node]] > nodes.bound[node]
-        if not np.count_nonzero(below - node):
+        below += flat[at + nodes.feature[node]] > nodes.bound[node]
+        moving = below != node
+        live = np.count_nonzero(moving)
+        if not live:
             break
         node = below
-    return node
+        if 2 * live <= node.size and node.size > trees:
+            leaves[pair] = node  # the moving pairs' entries are written again later
+            keep = np.flatnonzero(moving)
+            pair, node, at = pair[keep], node[keep], at[keep]
+    leaves[pair] = node
+    return leaves.reshape(trees, n)
 
 
 # (tree, row) pairs per block of ``descend_blocks``, (distinct row,

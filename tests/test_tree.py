@@ -542,6 +542,10 @@ def right_chain(depth: int) -> dict:
     return node
 
 
+STUMP = {"feature": 0, "threshold": 0.5, "left": {"counts": [1, 0]},
+         "right": {"counts": [0, 1]}}
+
+
 def one_feature_table(*roots) -> NodeTable:
     return NodeTable.from_dicts([{"n_classes": 2, "n_features": 1, "root": root}
                                  for root in roots], 2, 1)
@@ -550,6 +554,11 @@ def one_feature_table(*roots) -> NodeTable:
 @given(descent_case())
 @example((one_feature_table({"counts": [1, 1]}, right_chain(6)),
           np.array([[-0.0], [0.0], [1.0], [-1.5]])))
+# 36 pairs: the four positive rows keep 8 moving after step 2 and 4 after
+# step 4, so the descent compacts twice
+@example((one_feature_table(STUMP, right_chain(6), right_chain(3)),
+          np.array([[-1.5], [0.25], [-0.0], [0.0], [1.0], [-1.5],
+                    [0.0], [0.25], [-0.0], [1.0], [-1.5], [0.0]])))
 @settings(max_examples=150, deadline=None)
 def test_descent_matches_the_node_walk(case):
     table, X = case
@@ -587,6 +596,50 @@ def test_descent_stops_once_no_pair_moves():
     assert table.depth == 6
     assert descend(spy, X).tolist() == walked_leaves(table, X).tolist()
     assert spy.bound.reads == 2
+
+
+def test_a_fitted_forest_descends_like_the_node_walk():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(300, 4))
+    y = (X[:, 0] * X[:, 1] > 0).astype(int) + (X[:, 2] > 1)
+    table = RandomForest(n_estimators=20, seed=3).fit(X, y).table_
+    assert table.depth > 5
+    for n in (1, 2, 7, 300):
+        want = walked_leaves(table, X[:n])
+        assert descend(table, X[:n]).tolist() == want.tolist()
+    # one row per block at 1 and 3 pairs, seven at 140
+    for pairs in (1, 3, 140):
+        with mock.patch.object(tree_module, "BLOCK_PAIRS", pairs):
+            got = np.full_like(want, -1)
+            for rows, leaves in descend_blocks(table, X):
+                got[:, rows] = leaves
+        assert got.tolist() == want.tolist()
+
+
+class GatherSizes:
+    """A node array that records the size of each gather."""
+
+    def __init__(self, array):
+        self.array, self.sizes = array, []
+
+    def __getitem__(self, index):
+        self.sizes.append(np.size(index))
+        return self.array[index]
+
+
+@pytest.mark.parametrize("X, sizes", [
+    # After step 2 only the chain's pair of the last row still moves: the
+    # other 127 pairs are dropped, and the last four steps read one bound.
+    (np.array([[-1.0]] * 63 + [[1.0]]), [128, 128, 1, 1, 1, 1]),
+    # One row's pairs are no more than the trees, so they are never compacted.
+    (np.array([[1.0]]), [2] * 6),
+])
+def test_descent_drops_the_pairs_that_settled(X, sizes):
+    table = one_feature_table(STUMP, right_chain(6))
+    spy = SimpleNamespace(feature=table.feature, left=table.left, roots=table.roots,
+                          depth=table.depth, bound=GatherSizes(table.bound))
+    assert descend(spy, X).tolist() == walked_leaves(table, X).tolist()
+    assert spy.bound.sizes == sizes
 
 
 # -- the tree codec: to_dicts and from_dicts ------------------------------------

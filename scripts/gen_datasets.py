@@ -5,12 +5,13 @@ Run from the repository root:
     python3 scripts/gen_datasets.py
 
 Output is deterministic; the committed CSVs under src/infbench/bench/data/
-are exactly what this script writes.
+are exactly what this script writes, which ``tests/test_sources.py`` checks.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -19,16 +20,18 @@ from infbench.bench.synth import GENERATORS
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "infbench" / "bench" / "data"
 
 
-def main() -> None:
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
+def render() -> dict:
+    """Each file this script writes, by name: one CSV per generator, then
+    the manifest."""
+    files = {}
     manifest = {"datasets": []}
     for gen in GENERATORS:
         table = gen()
-        path = OUT_DIR / f"{table.name}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(table.header)
-            writer.writerows(table.rows)
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(table.header)
+        writer.writerows(table.rows)
+        files[f"{table.name}.csv"] = out.getvalue()
         manifest["datasets"].append({
             "id": table.name,
             "path": f"{table.name}.csv",
@@ -36,12 +39,16 @@ def main() -> None:
             "columns": table.kinds,
             "note": table.note,
         })
-        print(f"wrote {path} ({len(table.rows)} rows)")
-    manifest_path = OUT_DIR / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {manifest_path}")
+    files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    return files
+
+
+def main() -> None:
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    for name, text in render().items():
+        path = OUT_DIR / name
+        path.write_text(text, encoding="utf-8", newline="")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

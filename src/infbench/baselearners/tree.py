@@ -374,10 +374,6 @@ class NodeTable:
 class TreeModel(NodeTable):
     """One fitted tree: a node table whose one root is node 0."""
 
-    def counts_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Leaf class counts for each row, shape (n, C)."""
-        return self.counts[descend(self, X)[0]]
-
     def distribution(self, X: np.ndarray) -> np.ndarray:
         return self.proba[descend(self, X)[0]]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import median
 
@@ -180,14 +180,7 @@ class TableEncoder:
         return np.hstack(blocks)
 
     def to_dict(self) -> dict:
-        return {
-            "target_column": self.target_column,
-            "feature_columns": list(self.feature_columns),
-            "kinds": dict(self.kinds),
-            "medians": dict(self.medians),
-            "categories": {k: list(v) for k, v in self.categories.items()},
-            "report": list(self.report),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TableEncoder":

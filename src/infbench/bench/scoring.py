@@ -125,16 +125,11 @@ def build_leaderboard(table: ScoreTable, generators: dict) -> Leaderboard:
     normalized, score_range = normalize_table(table)
     minmax = _model_means(table, normalized)
     avg = average_rank(table)
-    ordered = sorted(minmax.items(), key=lambda kv: (-kv[1], kv[0]))
+    distinct = set(minmax.values())
     rows = []
-    rank = 0
-    prev = None
-    for m, score in ordered:
-        if prev is None or score != prev:
-            rank += 1
-            prev = score
+    for m, score in sorted(minmax.items(), key=lambda kv: (-kv[1], kv[0])):
         rows.append(LeaderboardRow(
-            rank=rank,
+            rank=1 + sum(v > score for v in distinct),
             model_id=m,
             minmax=score,
             avg_rank=avg[m],

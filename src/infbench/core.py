@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import numbers
 import secrets
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,33 +74,27 @@ def resolve_seed(seed: int | None) -> int:
     return _process_seed
 
 
-@dataclass(frozen=True)
 class ClassSet:
-    """Ordered set of distinct class labels.
+    """Ordered set of at least two class labels.
 
     Order is lexicographic on the canonical text form ``str(label)``, so the
     class-column order of probability outputs is deterministic regardless of
-    row order.  Labels whose text forms collide are treated as one class (the
-    first occurrence's object is kept).
+    row order.  ``texts`` holds those forms; ClassSet raises DegenerateTarget
+    unless they are at least two, distinct and ascending.
     """
 
-    labels: tuple
-    _index_of: dict = field(repr=False, hash=False, compare=False, default=None)
-    _array: np.ndarray = field(repr=False, hash=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index_of", {str(lab): i for i, lab in enumerate(self.labels)}
-        )
-        object.__setattr__(self, "_array", np.fromiter(
-            self.labels, dtype=object, count=len(self.labels)))
+    def __init__(self, labels):
+        self.labels = tuple(labels)
+        self.texts = texts = tuple(str(lab) for lab in self.labels)
+        if len(texts) < 2 or any(a >= b for a, b in zip(texts, texts[1:])):
+            raise DegenerateTarget(f"classes {list(texts)}: need at least 2 labels "
+                                   "whose text forms are distinct and ascending")
+        self._index_of = {text: i for i, text in enumerate(texts)}
+        self._array = np.fromiter(self.labels, dtype=object, count=len(self.labels))
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index_of(self, label) -> int:
-        return self._index_of[str(label)]
 
     def encode(self, labels) -> np.ndarray:
         """Map raw labels to class indices (labels must be known)."""
@@ -117,22 +110,15 @@ class ClassSet:
 def encode_labels(raw_labels) -> tuple[ClassSet, np.ndarray]:
     """Encode raw labels into a sorted ClassSet and an index vector.
 
-    Raises DegenerateTarget when fewer than two distinct labels are present.
-    Round trip: ``classes.decode(indices)`` reproduces the input element-wise
-    (up to text-form canonicalization of duplicate-text labels).
+    Labels whose text forms collide are one class, the first occurrence's
+    object; ClassSet raises DegenerateTarget if fewer than two remain.  Round
+    trip: ``classes.decode(indices)`` gives the input back, up to that merge.
     """
     raw = list(raw_labels)
-    if not raw:
-        raise DegenerateTarget("empty label list")
     by_text: dict[str, object] = {}
     for lab in raw:
         by_text.setdefault(str(lab), lab)
-    if len(by_text) < 2:
-        raise DegenerateTarget(
-            f"need at least 2 distinct labels, got {len(by_text)}"
-        )
-    ordered = tuple(by_text[t] for t in sorted(by_text))
-    classes = ClassSet(ordered)
+    classes = ClassSet(by_text[t] for t in sorted(by_text))
     return classes, classes.encode(raw)
 
 
@@ -264,7 +250,7 @@ class Estimator:
     def from_state(cls, state: dict) -> "Estimator":
         """Inverse of ``get_state``; each model restores its learned parameters."""
         est = cls(**state["hyperparams"])
-        est.classes_ = ClassSet(tuple(state["classes"]))
+        est.classes_ = ClassSet(state["classes"])
         return est
 
     # -- shared plumbing -------------------------------------------------

@@ -17,7 +17,7 @@ class ConvergenceWarning(UserWarning):
 
 
 class DegenerateTarget(InfbenchError):
-    """Fewer than two distinct labels in the training target."""
+    """A class list of fewer than two labels, or whose text forms repeat or descend."""
 
 
 class NonFiniteValue(InfbenchError):

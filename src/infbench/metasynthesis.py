@@ -172,7 +172,8 @@ class MetaSynthesisClassifier(Estimator):
         """Inverse of ``get_state``.
 
         Raises ValueError unless there is a base, every base reads
-        ``n_features`` columns and the meta-model reads ``meta_width``.
+        ``n_features`` columns, the meta-model reads ``meta_width``, and each
+        has the stacker's classes.
         """
         from .serialize import estimator_from_state
 
@@ -185,11 +186,14 @@ class MetaSynthesisClassifier(Estimator):
         est.n_features_ = int(state["n_features"])
         if not est.base_models_:
             raise ValueError("the base_models list is empty")
-        widths = sorted({b.n_features_ for b in est.base_models_})
-        if widths != [est.n_features_]:
-            raise ValueError(f"base models read {widths} features, "
-                             f"n_features is {est.n_features_}")
-        if est.meta_model_.n_features_ != est.meta_width_:
-            raise ValueError(f"the meta model reads {est.meta_model_.n_features_} "
-                             f"features, meta_width is {est.meta_width_}")
+        models = [(f"base model {j}", b, "n_features", est.n_features_)
+                  for j, b in enumerate(est.base_models_)]
+        models.append(("the meta model", est.meta_model_, "meta_width", est.meta_width_))
+        for role, model, name, width in models:
+            if model.n_features_ != width:
+                raise ValueError(f"{role} reads {model.n_features_} features, "
+                                 f"{name} is {width}")
+            if model.classes_.texts != est.classes_.texts:
+                raise ValueError(f"{role} has classes {list(model.classes_.texts)}, "
+                                 f"the stacker {list(est.classes_.texts)}")
         return est

@@ -12,7 +12,7 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import FormatVersionMismatch, IngestError, MissingFile
+from .errors import DegenerateTarget, FormatVersionMismatch, IngestError, MissingFile
 from .models import MODELS
 
 FORMAT_VERSION = 1
@@ -25,7 +25,7 @@ def _malformed(what: str):
         yield
     except KeyError as e:
         raise IngestError(f"{what} is missing key {e.args[0]!r}") from e
-    except (TypeError, ValueError, IndexError) as e:
+    except (TypeError, ValueError, IndexError, DegenerateTarget) as e:
         raise IngestError(f"{what} is malformed: {e}") from e
 
 

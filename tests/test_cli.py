@@ -711,6 +711,17 @@ MALFORMED_ARTIFACTS = [
                  "n_features", id="meta_bases_narrower"),
     pytest.param("meta_synthesis", lambda d: _state(d).update(meta_width=999),
                  "meta_width", id="meta_width"),
+    pytest.param("decision_tree", lambda d: _state(d).update(classes=["neg", "neg"]),
+                 "classes", id="duplicate_classes"),
+    pytest.param("random_forest", lambda d: _state(d)["classes"].reverse(),
+                 "classes", id="reversed_classes"),
+    pytest.param("logistic_regression", lambda d: _state(d).update(classes=["neg"]),
+                 "classes", id="one_class"),
+    pytest.param("directional_forest", lambda d: _state(d).update(classes=["1", 1]),
+                 "classes", id="text_colliding_classes"),
+    pytest.param("meta_synthesis",
+                 lambda d: _state(d)["base_models"][1]["state"].update(classes=["x", "y"]),
+                 "classes", id="meta_base_foreign_classes"),
 ]
 
 

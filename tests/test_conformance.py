@@ -9,7 +9,7 @@ import pytest
 from infbench.baselearners import DecisionTree, LogisticRegression, RandomForest
 from infbench.core import supports_proba
 from infbench.directional import DirectionalForest
-from infbench.errors import DimensionMismatch, InfbenchError, NotFitted
+from infbench.errors import DegenerateTarget, DimensionMismatch, InfbenchError, NotFitted
 from infbench.metasynthesis import MetaSynthesisClassifier
 from infbench.bench import encode_table
 from infbench.serialize import (
@@ -64,6 +64,13 @@ def test_not_fitted_guard(proto, data):
     if supports_proba(est):
         with pytest.raises(NotFitted):
             est.predict_proba(X)
+
+
+@pytest.mark.parametrize("proto", PROTOTYPES)
+def test_a_one_class_target_is_refused(proto, data):
+    X, _ = data
+    with pytest.raises(DegenerateTarget, match=r"classes \['ant'\]"):
+        proto().fit(X, ["ant"] * len(X))
 
 
 @pytest.mark.parametrize("proto", PROTOTYPES)

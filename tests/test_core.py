@@ -48,9 +48,24 @@ def test_encode_labels_degenerate():
         encode_labels(["x", "x"])
 
 
+@pytest.mark.parametrize("labels", [
+    [], ["a"], ["a", "a"], ["b", "a"], ["1", 1], ["a", "c", "b"],
+], ids=["empty", "one", "duplicate", "reversed", "text_collision", "unsorted"])
+def test_classset_refuses_a_class_list_that_breaks_its_rules(labels):
+    with pytest.raises(DegenerateTarget, match="classes"):
+        ClassSet(labels)
+
+
+def test_classset_keeps_its_label_objects_and_text_forms():
+    classes = ClassSet([("t", 1), 10, "9"])
+    assert classes.labels == (("t", 1), 10, "9")
+    assert classes.texts == ("('t', 1)", "10", "9")
+    assert classes.decode([1, 0]).tolist() == [10, ("t", 1)]
+
+
 def test_classset_index_of():
     classes, _ = encode_labels(["b", "a", "c"])
-    assert classes.index_of("b") == 1
+    assert classes.encode(["b"]).tolist() == [1]
     assert classes.encode(np.asarray(["c", "a"], dtype=object)).tolist() == [2, 0]
 
 

@@ -15,7 +15,7 @@ from infbench.baselearners import DecisionTree, RandomForest
 from infbench.baselearners import tree as tree_module
 from infbench.baselearners.tree import NodeTable, descend, descend_blocks, grow_tree, node_features
 from infbench.core import derive_seed, encode_labels, splitmix64
-from infbench.errors import NotFitted
+from infbench.errors import InfbenchError, NotFitted
 
 
 def root_split(X, y, n_classes, **params):
@@ -208,6 +208,19 @@ def test_determinism_same_seed(blobs3):
     a = DecisionTree(max_features="sqrt", seed=9).fit(X, y)
     b = DecisionTree(max_features="sqrt", seed=9).fit(X, y)
     assert a.predict(X).tolist() == b.predict(X).tolist()
+
+
+def test_more_candidate_features_than_features_is_refused():
+    X, y = np.arange(8.0).reshape(4, 2), ["a", "b", "a", "b"]
+    with pytest.raises(InfbenchError, match=r"max_features=5 outside \[1, 2\]"):
+        DecisionTree(max_features=5).fit(X, y)
+
+
+def test_feature_subsampling_needs_a_tree_key():
+    X, y = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
+    with pytest.raises(InfbenchError, match="requires tree keys"):
+        grow_tree(X, y, 2, max_features=1)
+    assert grow_tree(X, y, 2, max_features=1, key=7).n_features == 2
 
 
 def test_proba_distribution():

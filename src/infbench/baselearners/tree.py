@@ -8,9 +8,9 @@ sorted values of a feature; ties between equally good splits go to the lowest
 feature index, then the lowest threshold.  With ``min_samples_leaf`` 1 the
 search skips the cuts inside runs of one class, which cannot win.
 
-Trees grow breadth first, all trees of a fit together: each depth level's
-nodes are searched in a few blocks over arrays, and a fitted tree's nodes are
-numbered in that level order.
+Trees grow breadth first, all trees of a fit together, their nodes numbered in
+level order.  Each level's searched nodes are split in blocks over one buffer
+of their samples, and only the children searched next are copied to the next.
 
 Every random draw is a counter-based hash (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), ``derive_seed`` of integers.  Stream
@@ -58,12 +58,6 @@ def node_features(node_keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
     return feats
 
 
-def _columns(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The columns ``starts[i]`` to ``starts[i] + sizes[i]`` of every i, end to end."""
-    end = np.cumsum(sizes)
-    return np.repeat(starts - (end - sizes), sizes) + np.arange(end[-1] if end.size else 0)
-
-
 def _kept_cuts(key, y_sorted, ends, min_samples_leaf: int) -> np.ndarray:
     """The cuts ``_search_nodes`` scores, (k, n - 1): cut i parts positions i
     and i + 1 of each candidate's sorted keys (node, then value rank) and
@@ -78,19 +72,20 @@ def _kept_cuts(key, y_sorted, ends, min_samples_leaf: int) -> np.ndarray:
     return cut
 
 
-def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_samples_leaf: int):
+def _search_nodes(X, ranks, y_idx, sample, sizes, total, feats, min_samples_leaf: int):
     """Best split of each node of a block, scored together in one segmented
     search.
 
     ``sample`` holds the nodes' samples end to end, each as ``grow_trees``
-    takes it: node i's is the next ``sizes[i]`` columns.  Row i of ``feats``
-    holds node i's ascending candidate columns, as many for every node.
-    ``ranks[f, r]`` is the dense rank of ``X[r, f]`` among column f's distinct
-    values.  Returns ``(node, feature, threshold, children, child_sizes,
-    child_counts)`` for the nodes that split, in ascending order of node:
-    ``children`` holds their children's samples end to end, each left child
-    before its right sibling, and ``child_sizes`` and ``child_counts`` hold
-    each child's number of distinct rows and its class counts, in that order.
+    takes it: node i's is the next ``sizes[i]`` columns, of class counts
+    ``total[i]``.  Row i of ``feats`` holds node i's ascending candidate
+    columns, as many for every node.  ``ranks[f, r]`` is the dense rank of
+    ``X[r, f]`` among column f's distinct values.  Returns ``(node, feature,
+    threshold, order, child_sizes, child_counts)`` for the nodes that split,
+    in ascending order of node: ``order`` lists the columns of ``sample`` of
+    their children, each left child before its right sibling, and
+    ``child_sizes`` and ``child_counts`` hold each child's number of distinct
+    rows and its class counts.
 
     Minimizing weighted child Gini is equivalent to maximizing
     q = sum(left_counts^2)/n_l + sum(right_counts^2)/n_r, a ratio of small
@@ -106,7 +101,7 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_sam
     the true maximum and applies tie-breaking, and the positive-gain test
     (q > sum(counts^2)/n) is exact as well.
     """
-    n = sample.shape[1]
+    n, n_classes = sample.shape[1], total.shape[1]
     ends = np.cumsum(sizes)
     starts = ends - sizes
     seg = np.repeat(np.arange(sizes.size), sizes)  # each row's node
@@ -115,7 +110,6 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_sam
     counts = np.zeros((n, n_classes), dtype=np.int64)
     y_row = y_idx[rows]
     counts[np.arange(n), y_row] = mult
-    total = np.add.reduceat(counts, starts)  # each node's class counts
     # One int64 key per (candidate, row): node, then value rank, then the
     # row's position in its low bits, which the sort carries along.  The key
     # stays below len(sizes) * X.shape[0] * 2n, within int64 for any X whose
@@ -176,11 +170,13 @@ def _search_nodes(X, ranks, y_idx, n_classes: int, sample, sizes, feats, min_sam
     # Guard against the midpoint rounding up onto the right-hand value,
     # which would silently move the right run into the left child.
     threshold = np.where(mid < hi, mid, lo)
-    # each winner's rows in the order of its winning column, winner after
-    # winner: the first p - start + 1 are its left child, the rest its right
+    # each winner's positions in the order of its winning column j, winner
+    # after winner: the run of pos.ravel() from j * n + start, whose first
+    # p - start + 1 are its left child and the rest its right
     size = sizes[w]
     n_left = p - starts[w] + 1
-    return (w, feature, threshold, sample[:, pos.ravel()[_columns(j * n + starts[w], size)]],
+    run = np.repeat(j * n + starts[w] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    return (w, feature, threshold, pos.ravel()[run],
             np.stack([n_left, size - n_left], axis=1).ravel(),
             np.stack([left[b], right[b]], axis=1).reshape(-1, n_classes))
 
@@ -415,22 +411,29 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, sample: np.ndar
     All trees grow together, and no tree sees another's nodes: each level's
     nodes, of every tree, are searched in blocks of at most ``BLOCK_PAIRS``
     (distinct row, candidate, class) triples, or of one node, per
-    ``_search_nodes`` call.  ``sample`` is their one buffer: a split's
-    children take its columns, left then right, in place.
+    ``_search_nodes`` call, each a slice of the level's buffer of their
+    samples.  ``sample`` is only read.
     """
     n_features, n_trees = X.shape[1], sizes.size
     k = resolve_feature_count(max_features, n_features)
     if k < n_features and keys is None:
         raise InfbenchError("feature subsampling requires tree keys")
     ranks = column_ranks(X)
-    # The level: each node's tree, the columns of ``sample`` that hold its
-    # sample, and its class counts.  Nodes are numbered across all trees in
-    # the order they are made.
+
+    def to_search(counts, level):  # which nodes of these class counts are searched
+        return ((counts.sum(axis=1) >= min_samples_split) & (np.count_nonzero(counts, axis=1) > 1)
+                & (max_depth is None or level < max_depth))
+
+    # The level: each node's tree and class counts, which nodes it searches,
+    # and their sizes and samples, end to end in ``buf``; the next level's go
+    # to ``spare``.  Nodes are numbered across all trees in the order they are made.
     tree = np.arange(n_trees)
-    starts = np.cumsum(sizes) - sizes
     counts = np.bincount(np.repeat(tree * n_classes, sizes) + y_idx[sample[0]],
                          weights=sample[1], minlength=n_trees * n_classes)
     counts = counts.astype(np.int64).reshape(n_trees, n_classes)
+    search = to_search(counts, 0)
+    buf = sample.compress(np.repeat(search, sizes), axis=1)
+    spare, sizes = np.empty_like(buf), sizes[search]
     searched = np.zeros(n_trees, dtype=np.int64)  # each tree's searched nodes so far
     depth = np.zeros(n_trees, dtype=np.int64)
     levels = []  # per level: each node's tree, feature, threshold, left child, counts
@@ -439,9 +442,7 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, sample: np.ndar
         depth[tree] = level
         feature, threshold = np.zeros(tree.size, np.int64), np.zeros(tree.size)
         left = np.arange(first, first + tree.size)  # a leaf points to itself
-        search = np.flatnonzero((counts.sum(axis=1) >= min_samples_split)
-                                & (np.count_nonzero(counts, axis=1) > 1)
-                                & (max_depth is None or level < max_depth))
+        search = np.flatnonzero(search)
         if k < n_features:
             # a level's trees are nondecreasing, so a searched node's ordinal
             # in its tree is the tree's count so far plus its place in the run
@@ -451,35 +452,32 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, sample: np.ndar
             feats = node_features(splitmix64(keys[ts], ordinal + 1), n_features, k)
         else:
             feats = np.broadcast_to(np.arange(n_features), (search.size, n_features))
-        triples = np.cumsum(sizes[search]) * (k * n_classes)
-        won, child_sizes, child_counts = [search[:0]], [], []
-        a = 0
+        ends = np.cumsum(sizes)
+        # per block: its winners; their children's counts, which are searched, their sizes
+        kids = [(search[:0], counts[:0], np.zeros(0, bool), sizes[:0])]
+        a = fill = 0
         while a < search.size:
             # the longest run of nodes within BLOCK_PAIRS, or one node
-            z = max(a + 1, int(np.searchsorted(
-                triples, BLOCK_PAIRS + (triples[a - 1] if a else 0), side="right")))
-            block = search[a:z]
-            w, f, thr, children, kid_sizes, kid_counts = _search_nodes(
-                X, ranks, y_idx, n_classes, sample[:, _columns(starts[block], sizes[block])],
-                sizes[block], feats[a:z], min_samples_leaf)
-            block = block[w]
-            feature[block], threshold[block] = f, thr
-            sample[:, _columns(starts[block], sizes[block])] = children
-            won.append(block)
-            child_sizes.append(kid_sizes)
-            child_counts.append(kid_counts)
+            lo = ends[a - 1] if a else 0
+            z = max(a + 1, np.searchsorted(ends, lo + BLOCK_PAIRS // (k * n_classes), "right"))
+            block, part = search[a:z], buf[:, lo:ends[z - 1]]
+            w, f, thr, order, child_sizes, child_counts = _search_nodes(
+                X, ranks, y_idx, part, sizes[a:z], counts[block], feats[a:z], min_samples_leaf)
+            feature[block[w]], threshold[block[w]] = f, thr
+            kept = to_search(child_counts, level + 1)
+            at = order[np.repeat(kept, child_sizes)]
+            spare[:, fill:fill + at.size] = part.take(at, axis=1)
+            fill += at.size
+            kids.append((block[w], child_counts, kept, child_sizes[kept]))
             a = z
-        won = np.concatenate(won)
+        won, kid_counts, kept, kid_sizes = map(np.concatenate, zip(*kids))
         left[won] = first + tree.size + 2 * np.arange(won.size)
         counts[won] = 0
         levels.append((tree, feature, threshold, left, counts))
         first += tree.size
         level += 1
-        tree = np.repeat(tree[won], 2)
-        if tree.size:
-            sizes, counts = np.concatenate(child_sizes), np.concatenate(child_counts)
-            starts = np.repeat(starts[won], 2)
-            starts[1::2] += sizes[::2]
+        tree, counts, search, sizes = np.repeat(tree[won], 2), kid_counts, kept, kid_sizes
+        buf, spare = spare[:, :fill], buf
 
     # group the nodes by tree, keeping each tree's level order
     tree, feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))

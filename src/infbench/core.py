@@ -250,6 +250,8 @@ class Estimator:
     def from_state(cls, state: dict) -> "Estimator":
         """Inverse of ``get_state``; each model restores its learned parameters."""
         est = cls(**state["hyperparams"])
+        if not isinstance(state["classes"], list):  # ClassSet would take any iterable
+            raise ValueError(f"classes must be a list, got {state['classes']!r}")
         est.classes_ = ClassSet(state["classes"])
         return est
 

@@ -722,6 +722,11 @@ MALFORMED_ARTIFACTS = [
     pytest.param("meta_synthesis",
                  lambda d: _state(d)["base_models"][1]["state"].update(classes=["x", "y"]),
                  "classes", id="meta_base_foreign_classes"),
+    # iterables that are not a list: a string of one-letter labels, an object's keys
+    pytest.param("decision_tree", lambda d: _state(d).update(classes="np"),
+                 "classes", id="string_classes"),
+    pytest.param("decision_tree", lambda d: _state(d).update(classes={"n": 0, "p": 1}),
+                 "classes", id="dict_classes"),
 ]
 
 

@@ -287,9 +287,9 @@ def test_small_search_blocks_grow_the_same_trees(monkeypatch):
     calls = []  # (nodes, distinct rows) of each search
     search = tree_module._search_nodes
 
-    def spy(X, ranks, y_idx, n_classes, sample, sizes, feats, min_samples_leaf):
+    def spy(X, ranks, y_idx, sample, sizes, counts, feats, min_samples_leaf):
         calls.append((sizes.size, sample.shape[1]))
-        return search(X, ranks, y_idx, n_classes, sample, sizes, feats, min_samples_leaf)
+        return search(X, ranks, y_idx, sample, sizes, counts, feats, min_samples_leaf)
 
     monkeypatch.setattr(tree_module, "_search_nodes", spy)
     monkeypatch.setattr(tree_module, "BLOCK_PAIRS", 60)

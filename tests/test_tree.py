@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infbench.baselearners import DecisionTree, RandomForest
+from infbench.baselearners import forest as forest_module
 from infbench.baselearners import tree as tree_module
 from infbench.baselearners.tree import NodeTable, descend, descend_blocks, grow_tree, node_features
 from infbench.core import derive_seed, encode_labels, splitmix64
@@ -312,11 +313,17 @@ def as_multiset(sample) -> list:
 
 def search(X, ranks, y, C, nodes, min_samples_leaf):
     """``_search_nodes`` on ``nodes``, a list of ``(sample, feats)``, laid end
-    to end as ``grow_trees`` lays out a block."""
-    return tree_module._search_nodes(
-        X, ranks, y, C, np.hstack([sample for sample, _ in nodes]),
-        np.array([sample.shape[1] for sample, _ in nodes]),
+    to end as ``grow_trees`` lays out a block, with each node's class counts.
+    Returns ``(node, feature, threshold, children, child_sizes,
+    child_counts)``: ``children`` holds the children's samples end to end,
+    read out of the block at the columns the search returns."""
+    block = np.hstack([sample for sample, _ in nodes])
+    counts = np.array([np.bincount(y[rows], weights=mult, minlength=C)
+                       for rows, mult in (sample for sample, _ in nodes)], dtype=np.int64)
+    node, feature, threshold, order, sizes, child_counts = tree_module._search_nodes(
+        X, ranks, y, block, np.array([sample.shape[1] for sample, _ in nodes]), counts,
         np.array([feats for _, feats in nodes]), min_samples_leaf)
+    return node, feature, threshold, block[:, order], sizes, child_counts
 
 
 @given(search_case())
@@ -493,6 +500,50 @@ def test_level_order_growth_matches_the_queue_reference(case):
         got = getattr(tree, name)
         assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
     assert tree.depth == depth
+
+
+# -- the level buffers -------------------------------------------------------------
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_growth_only_reads_its_sample(blobs3, bootstrap):
+    X, y = blobs3
+    y_idx = encode_labels(y)[1]
+    keys = splitmix64(9, np.arange(6))
+    if bootstrap:
+        sample, sizes = forest_module.bootstrap(keys, X.shape[0])
+    else:
+        sample, sizes = tree_module.whole_samples(X.shape[0], keys.size)
+    before = sample.copy()
+    table = tree_module.grow_trees(X, y_idx, 3, sample, sizes, keys, max_features=1)
+    assert table.left.size > 3 * keys.size  # the trees split below their roots' children
+    assert sample.tobytes() == before.tobytes()
+
+
+class WriteLog(np.ndarray):
+    """A sample array that logs every array written into it, or into an array
+    made like it: the copies into the level buffers."""
+
+    writes: list = []
+
+    def __setitem__(self, key, value):
+        WriteLog.writes.append(np.array(value))
+        super().__setitem__(key, value)
+
+
+def test_a_leaf_child_is_never_copied_to_the_next_level(monkeypatch):
+    # The root splits at 3.5: its left child, rows 0-3, is pure, and its
+    # right child, rows 4-7, splits at 5.5 into rows 4-5, which split again,
+    # and the pure rows 6-7.
+    X = np.arange(8.0)[:, None]
+    y = np.array([0, 0, 0, 0, 1, 0, 1, 1])
+    sample, sizes = tree_module.whole_samples(8)
+    monkeypatch.setattr(WriteLog, "writes", [])
+    table = tree_module.grow_trees(X, y, 2, sample.view(WriteLog), sizes, None)
+    assert table.left.tolist() == [1, 1, 3, 5, 4, 5, 6]
+    assert table.threshold[[0, 2, 3]].tolist() == [3.5, 5.5, 4.5]
+    # only the children searched next were copied: rows 4-7, then rows 4-5
+    assert [w.tolist() for w in WriteLog.writes if w.size] == [[[4, 5, 6, 7], [1, 1, 1, 1]],
+                                                                [[4, 5], [1, 1]]]
 
 
 # -- the descent against a node-by-node walk ---------------------------------------

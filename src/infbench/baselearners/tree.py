@@ -9,8 +9,8 @@ feature index, then the lowest threshold.  With ``min_samples_leaf`` 1 the
 search skips the cuts inside runs of one class, which cannot win.
 
 Trees grow breadth first, all trees of a fit together, their nodes numbered in
-level order.  Each level's searched nodes are split in blocks over one buffer
-of their samples, and only the children searched next are copied to the next.
+level order.  Each level takes its searched nodes' samples from the last
+level's buffer in one gather, and searches them in blocks, slices of it.
 
 Every random draw is a counter-based hash (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), ``derive_seed`` of integers.  Stream
@@ -420,29 +420,27 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, sample: np.ndar
         raise InfbenchError("feature subsampling requires tree keys")
     ranks = column_ranks(X)
 
-    def to_search(counts, level):  # which nodes of these class counts are searched
-        return ((counts.sum(axis=1) >= min_samples_split) & (np.count_nonzero(counts, axis=1) > 1)
-                & (max_depth is None or level < max_depth))
-
-    # The level: each node's tree and class counts, which nodes it searches,
-    # and their sizes and samples, end to end in ``buf``; the next level's go
-    # to ``spare``.  Nodes are numbered across all trees in the order they are made.
+    # The level: each node's tree, class counts and size, and ``order``, the
+    # columns of the last level's buffer ``buf`` that hold the nodes' samples,
+    # end to end.  Nodes are numbered across all trees in the order they are made.
     tree = np.arange(n_trees)
     counts = np.bincount(np.repeat(tree * n_classes, sizes) + y_idx[sample[0]],
                          weights=sample[1], minlength=n_trees * n_classes)
     counts = counts.astype(np.int64).reshape(n_trees, n_classes)
-    search = to_search(counts, 0)
-    buf = sample.compress(np.repeat(search, sizes), axis=1)
-    spare, sizes = np.empty_like(buf), sizes[search]
+    buf, order = sample, np.arange(sample.shape[1])
     searched = np.zeros(n_trees, dtype=np.int64)  # each tree's searched nodes so far
     depth = np.zeros(n_trees, dtype=np.int64)
     levels = []  # per level: each node's tree, feature, threshold, left child, counts
     first, level = 0, 0  # number of the level's first node; its depth
     while tree.size:
         depth[tree] = level
+        search = ((counts.sum(axis=1) >= min_samples_split) & (np.count_nonzero(counts, axis=1) > 1)
+                  & (max_depth is None or level < max_depth))
+        # the searched nodes' samples, end to end: the level's buffer
+        buf = buf.take(order[np.repeat(search, sizes)], axis=1)
+        search, sizes = np.flatnonzero(search), sizes[search]
         feature, threshold = np.zeros(tree.size, np.int64), np.zeros(tree.size)
         left = np.arange(first, first + tree.size)  # a leaf points to itself
-        search = np.flatnonzero(search)
         if k < n_features:
             # a level's trees are nondecreasing, so a searched node's ordinal
             # in its tree is the tree's count so far plus its place in the run
@@ -453,31 +451,26 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, sample: np.ndar
         else:
             feats = np.broadcast_to(np.arange(n_features), (search.size, n_features))
         ends = np.cumsum(sizes)
-        # per block: its winners; their children's counts, which are searched, their sizes
-        kids = [(search[:0], counts[:0], np.zeros(0, bool), sizes[:0])]
-        a = fill = 0
+        # per block: its winners; their children's counts, sizes and columns of ``buf``
+        kids = [(search[:0], counts[:0], sizes[:0], order[:0])]
+        a = 0
         while a < search.size:
             # the longest run of nodes within BLOCK_PAIRS, or one node
             lo = ends[a - 1] if a else 0
             z = max(a + 1, np.searchsorted(ends, lo + BLOCK_PAIRS // (k * n_classes), "right"))
             block, part = search[a:z], buf[:, lo:ends[z - 1]]
-            w, f, thr, order, child_sizes, child_counts = _search_nodes(
+            w, f, thr, at, child_sizes, child_counts = _search_nodes(
                 X, ranks, y_idx, part, sizes[a:z], counts[block], feats[a:z], min_samples_leaf)
             feature[block[w]], threshold[block[w]] = f, thr
-            kept = to_search(child_counts, level + 1)
-            at = order[np.repeat(kept, child_sizes)]
-            spare[:, fill:fill + at.size] = part.take(at, axis=1)
-            fill += at.size
-            kids.append((block[w], child_counts, kept, child_sizes[kept]))
+            kids.append((block[w], child_counts, child_sizes, at + lo))
             a = z
-        won, kid_counts, kept, kid_sizes = map(np.concatenate, zip(*kids))
+        won, kid_counts, sizes, order = map(np.concatenate, zip(*kids))
         left[won] = first + tree.size + 2 * np.arange(won.size)
         counts[won] = 0
         levels.append((tree, feature, threshold, left, counts))
         first += tree.size
         level += 1
-        tree, counts, search, sizes = np.repeat(tree[won], 2), kid_counts, kept, kid_sizes
-        buf, spare = spare[:, :fill], buf
+        tree, counts = np.repeat(tree[won], 2), kid_counts
 
     # group the nodes by tree, keeping each tree's level order
     tree, feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))

@@ -78,6 +78,8 @@ class DirectionalForest(TreeEnsemble):
     @classmethod
     def from_state(cls, state: dict) -> "DirectionalForest":
         directions = finite_floats(state["directions"], "directions")
+        if directions.ndim != 1:
+            raise ValueError(f"directions must be a flat list, got {directions.ndim} dimensions")
         est = super().from_state(state, directions.shape[0])
         est.directions_ = directions
         return est

@@ -668,6 +668,11 @@ MALFORMED_ARTIFACTS = [
     pytest.param("directional_forest",
                  lambda d: _state(d)["directions"].__setitem__(0, float("nan")),
                  "directions", id="nan_direction"),
+    pytest.param("directional_forest",
+                 lambda d: _state(d).update(directions=[_state(d)["directions"]] * 2),
+                 "directions", id="nested_directions"),
+    pytest.param("directional_forest", lambda d: _state(d).update(directions=1.0),
+                 "directions", id="scalar_directions"),
     pytest.param("logistic_regression",
                  lambda d: _state(d)["coef"][0].__setitem__(1, float("inf")),
                  "coef", id="infinite_coef"),

@@ -293,9 +293,12 @@ def test_small_search_blocks_grow_the_same_trees(monkeypatch):
 
     monkeypatch.setattr(tree_module, "_search_nodes", spy)
     monkeypatch.setattr(tree_module, "BLOCK_PAIRS", 60)
-    for cls in (RandomForest, DirectionalForest):
-        forest = cls(n_estimators=8, min_samples_leaf=2, max_features=1, seed=11)
-        assert_each_tree_is_grown_alone(forest, X, y)
+    # the second setting drops children of one level's several blocks for
+    # size or depth
+    for params in (dict(min_samples_leaf=2), dict(min_samples_split=5, max_depth=3)):
+        for cls in (RandomForest, DirectionalForest):
+            forest = cls(n_estimators=8, max_features=1, seed=11, **params)
+            assert_each_tree_is_grown_alone(forest, X, y)
     # 60 // (1 candidate * 3 classes) = 20 distinct rows: a level's nodes are
     # searched in blocks of at most 20 of them, or of one node
     assert all(n == 1 or rows <= 20 for n, rows in calls)

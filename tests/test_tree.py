@@ -519,15 +519,16 @@ def test_growth_only_reads_its_sample(blobs3, bootstrap):
     assert sample.tobytes() == before.tobytes()
 
 
-class WriteLog(np.ndarray):
-    """A sample array that logs every array written into it, or into an array
-    made like it: the copies into the level buffers."""
+class TakeLog(np.ndarray):
+    """A sample array that logs every array taken from it, or from an array
+    taken from it: the level buffers."""
 
-    writes: list = []
+    takes: list = []
 
-    def __setitem__(self, key, value):
-        WriteLog.writes.append(np.array(value))
-        super().__setitem__(key, value)
+    def take(self, *args, **kwargs):
+        taken = super().take(*args, **kwargs)
+        TakeLog.takes.append(np.array(taken))
+        return taken
 
 
 def test_a_leaf_child_is_never_copied_to_the_next_level(monkeypatch):
@@ -537,13 +538,15 @@ def test_a_leaf_child_is_never_copied_to_the_next_level(monkeypatch):
     X = np.arange(8.0)[:, None]
     y = np.array([0, 0, 0, 0, 1, 0, 1, 1])
     sample, sizes = tree_module.whole_samples(8)
-    monkeypatch.setattr(WriteLog, "writes", [])
-    table = tree_module.grow_trees(X, y, 2, sample.view(WriteLog), sizes, None)
+    monkeypatch.setattr(TakeLog, "takes", [])
+    table = tree_module.grow_trees(X, y, 2, sample.view(TakeLog), sizes, None)
     assert table.left.tolist() == [1, 1, 3, 5, 4, 5, 6]
     assert table.threshold[[0, 2, 3]].tolist() == [3.5, 5.5, 4.5]
-    # only the children searched next were copied: rows 4-7, then rows 4-5
-    assert [w.tolist() for w in WriteLog.writes if w.size] == [[[4, 5, 6, 7], [1, 1, 1, 1]],
-                                                                [[4, 5], [1, 1]]]
+    # each level's buffer holds only the nodes it searches: rows 0-7, then
+    # rows 4-7, then rows 4-5; the pure rows 0-3 and 6-7 are never copied
+    assert [t.tolist() for t in TakeLog.takes if t.size] == [[list(range(8)), [1] * 8],
+                                                              [[4, 5, 6, 7], [1, 1, 1, 1]],
+                                                              [[4, 5], [1, 1]]]
 
 
 # -- the descent against a node-by-node walk ---------------------------------------

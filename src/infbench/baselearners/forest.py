@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import check_fit_inputs, splitmix64
+from ..core import splitmix64
 from . import tree
 from .tree import TreeEnsemble, whole_samples
 
@@ -65,11 +65,9 @@ class RandomForest(TreeEnsemble):
                  seed: int | None = None):
         self.set_hyperparams(locals())
 
-    def fit(self, X, y) -> "RandomForest":
-        A, y_idx, classes = check_fit_inputs(X, y)
+    def growth(self, A, y_idx, n_classes) -> tuple:
         keys, n = self.tree_keys(self.n_estimators), A.shape[0]
-        sample, sizes = bootstrap(keys, n) if self.bootstrap else whole_samples(n, keys.size)
-        return self.grow(A, y_idx, classes, sample, sizes, keys)
+        return A, *(bootstrap(keys, n) if self.bootstrap else whole_samples(n, keys.size)), keys
 
     def predict_proba(self, X) -> np.ndarray:
         return self.mean_proba(self._check_predict_input(X))

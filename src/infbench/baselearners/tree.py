@@ -8,9 +8,11 @@ sorted values of a feature; ties between equally good splits go to the lowest
 feature index, then the lowest threshold.  With ``min_samples_leaf`` 1 the
 search skips the cuts inside runs of one class, which cannot win.
 
-Trees grow breadth first, all trees of a fit together, their nodes numbered in
-level order.  Each level takes its searched nodes' samples from the last
-level's buffer in one gather, and searches them in blocks, slices of it.
+Trees grow breadth first, their nodes numbered in level order: all trees of a
+fit together, and those of several fits on one matrix of their stacked rows
+(``TreeEnsemble.fit_each``).  Each level takes its searched nodes' samples
+from the last level's buffer in one gather, and searches them in blocks,
+slices of it.
 
 Every random draw is a counter-based hash (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), ``derive_seed`` of integers.  Stream
@@ -28,9 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import (FLAG, SEED, Estimator, check_fit_inputs, finite_floats, integer,
+from ..core import (FLAG, SEED, ClassSet, Estimator, check_fit_inputs, finite_floats, integer,
                     resolve_seed, splitmix64)
-from ..errors import InfbenchError
+from ..errors import InfbenchError, MissingClass
 
 
 def resolve_feature_count(max_features, n_features: int) -> int:
@@ -105,7 +107,7 @@ def _search_nodes(X, ranks, y_idx, sample, sizes, total, feats, min_samples_leaf
     ends = np.cumsum(sizes)
     starts = ends - sizes
     seg = np.repeat(np.arange(sizes.size), sizes)  # each row's node
-    rows, mult = sample
+    rows, mult = sample[0].astype(np.intp), sample[1]  # intp: the index type of X and y_idx
     # each row's class counts: its multiplicity, in its class's column
     counts = np.zeros((n, n_classes), dtype=np.int64)
     y_row = y_idx[rows]
@@ -359,12 +361,24 @@ class NodeTable:
         return [{"n_classes": self.n_classes, "n_features": self.n_features, "root": node[r]}
                 for r in self.roots.tolist()]
 
+    def split(self, n_trees, kind=None) -> list:
+        """The table's trees in consecutive runs of ``n_trees`` trees, each
+        run a table of its own, copied out, of class ``kind`` (``NodeTable``
+        by default), numbered from its first root."""
+        ends = np.cumsum(n_trees).tolist()
+        at = np.append(self.roots, self.left.size).tolist()  # each tree's first node
+        tables = []
+        for s, e in zip([0, *ends], ends):
+            a, b = at[s], at[e]
+            tables.append((kind or NodeTable)(
+                self.feature[a:b].copy(), self.threshold[a:b].copy(), self.left[a:b] - a,
+                self.counts[a:b].copy(), self.roots[s:e] - a, self.depths[s:e].copy(),
+                self.n_features))
+        return tables
+
     def trees(self) -> list:
         """Each tree as its own ``TreeModel``, numbered from its root."""
-        ends = np.append(self.roots[1:], self.left.size).tolist()
-        return [TreeModel(self.feature[a:b], self.threshold[a:b], self.left[a:b] - a,
-                          self.counts[a:b], [0], [d], self.n_features)
-                for a, b, d in zip(self.roots.tolist(), ends, self.depths.tolist())]
+        return self.split(np.ones(self.roots.size, np.int64), TreeModel)
 
 
 class TreeModel(NodeTable):
@@ -494,10 +508,11 @@ def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
 class TreeEnsemble(Estimator):
     """Gini trees grown together by ``grow_trees`` and read as one ``NodeTable``.
 
-    A subclass's ``fit`` chooses its trees' samples and keys and hands them
-    to ``grow``.  A subclass with probabilities defines ``predict_proba``
-    through ``mean_proba``, and ``predict`` takes its first argmax, i.e. ties
-    go to the lowest class index.  The other tree models take part of ``rules``.
+    A subclass's ``growth`` chooses its trees' samples and keys for one fit,
+    and ``fit`` and ``fit_each`` grow them.  A subclass with probabilities
+    defines ``predict_proba`` through ``mean_proba``, and ``predict`` takes
+    its first argmax, i.e. ties go to the lowest class index.  The other tree
+    models take part of ``rules``.
     """
 
     rules = {"n_estimators": integer(1), "max_depth": integer(0, None),
@@ -508,14 +523,72 @@ class TreeEnsemble(Estimator):
         """Tree i's key, ``derive_seed(seed, i)``, for each of ``n_trees`` trees."""
         return splitmix64(resolve_seed(self.seed), np.arange(n_trees))
 
-    def grow(self, X, y_idx, classes, sample, sizes, keys) -> "TreeEnsemble":
-        """Grow the trees of ``sample``, ``sizes`` and ``keys`` on X, as
-        ``grow_trees`` takes them."""
-        self.table_ = grow_trees(X, y_idx, classes.size, sample, sizes, keys,
-                                 **tree_params(self))
-        self.n_features_ = X.shape[1]
-        self.classes_ = classes
-        return self
+    def growth(self, A: np.ndarray, y_idx: np.ndarray, n_classes: int) -> tuple:
+        """The trees of a fit on A and ``y_idx``: ``(X, sample, sizes, keys)``,
+        as ``grow_trees`` takes them, X of A's rows (A itself or a transform).
+        A subclass may set fitted attributes of its own here."""
+        raise NotImplementedError
+
+    def fit(self, X, y) -> "TreeEnsemble":
+        A, y_idx, classes = check_fit_inputs(X, y)
+        return next(self._grow_fits([(self, classes, A, y_idx)]))
+
+    def fit_each(self, X, y, rows, seeds):
+        """Every ``fresh_clone(seed=s).fit(X[r], y[r])`` of ``rows`` and
+        ``seeds``, yielded in order, with X and y validated and encoded once.
+
+        Consecutive fits grow in one ``grow_trees`` call while their samples
+        add up to at most ``2 * BLOCK_PAIRS`` columns, and a call holds at
+        least one fit.  A group's fits are yielded before any fit of the next
+        group is drawn but its first, whose sample ends the group, so one
+        group's samples and tables are alive at a time, and one more sample.
+        Raises MissingClass, while iterating, for a row set that lacks one of
+        y's classes.
+        """
+        A, y_idx, classes = check_fit_inputs(X, y)
+        labels = np.fromiter(y, dtype=object, count=len(y))
+
+        def fits():
+            for i, (r, seed) in enumerate(zip(rows, seeds)):
+                y_r = y_idx[r]
+                present, first = np.unique(y_r, return_index=True)
+                if present.size < classes.size:
+                    raise MissingClass(f"row set {i} has {present.size} of the "
+                                       f"{classes.size} classes")
+                # the first row of each class names it, as in check_fit_inputs
+                yield self.fresh_clone(seed=seed), ClassSet(labels[r][first]), A[r], y_r
+
+        return self._grow_fits(fits())
+
+    def _grow_fits(self, fits):
+        """Grow each ``(estimator, classes, A, y_idx)`` of ``fits``, grouped
+        as ``fit_each`` describes, and yield the estimators, fitted."""
+        group, width = [], 0
+        for est, classes, A, y_idx in fits:
+            X, sample, sizes, keys = est.growth(A, y_idx, classes.size)
+            if group and width + sample.shape[1] > 2 * BLOCK_PAIRS:
+                yield from self._grow_group(group)
+                group, width = [], 0
+            group.append((est, classes, X, y_idx, sample, sizes, keys))
+            width += sample.shape[1]
+        if group:
+            yield from self._grow_group(group)
+
+    def _grow_group(self, group):
+        """Grow a group's fits together and yield each fit with its trees.
+        Several fits grow on one matrix, their X stacked, each sample's rows
+        moved to its X's place in it; one fit grows on its own arrays."""
+        ests, classes, Xs, ys, samples, sizes, keys = zip(*group)
+        X, y, sample = Xs[0], ys[0], samples[0]
+        if len(group) > 1:
+            X, y, sample = np.concatenate(Xs), np.concatenate(ys), np.concatenate(samples, axis=1)
+            sample[0] += np.repeat(np.cumsum([0] + [x.shape[0] for x in Xs[:-1]]),
+                                   [s.shape[1] for s in samples])
+        table = grow_trees(X, y, classes[0].size, sample, np.concatenate(sizes),
+                           np.concatenate(keys), **tree_params(self))
+        for est, part, est_classes in zip(ests, table.split([k.size for k in keys]), classes):
+            est.table_, est.n_features_, est.classes_ = part, X.shape[1], est_classes
+            yield est
 
     @property
     def trees_(self) -> list:
@@ -582,9 +655,8 @@ class DecisionTree(TreeEnsemble):
                  seed: int | None = None):
         self.set_hyperparams(locals())
 
-    def fit(self, X, y) -> "DecisionTree":
-        A, y_idx, classes = check_fit_inputs(X, y)
-        return self.grow(A, y_idx, classes, *whole_samples(A.shape[0]), self.tree_keys(1))
+    def growth(self, A, y_idx, n_classes) -> tuple:
+        return A, *whole_samples(A.shape[0]), self.tree_keys(1)
 
     def predict_proba(self, X) -> np.ndarray:
         return self.mean_proba(self._check_predict_input(X))

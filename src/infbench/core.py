@@ -225,6 +225,13 @@ class Estimator:
     def predict(self, X) -> np.ndarray:
         raise NotImplementedError
 
+    def fit_each(self, X, y, rows, seeds):
+        """Yield, in order, ``fresh_clone(seed=s).fit(X[r], y[r])`` for each
+        row index array r of ``rows`` and seed s of ``seeds``.  A model may
+        fit them together, as long as each is the model fitted alone."""
+        A, labels = as_matrix(X), np.fromiter(y, dtype=object, count=len(y))
+        return (self.fresh_clone(seed=s).fit(A[r], labels[r]) for r, s in zip(rows, seeds))
+
     def hyperparams(self) -> dict:
         """The hyperparameters of ``rules``, read back from same-named attributes."""
         return {name: getattr(self, name) for name in self.rules}

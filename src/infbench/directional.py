@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_fit_inputs, finite_floats
+from .core import finite_floats
 from .errors import MissingClass
 from .baselearners.forest import plurality_vote
 from .baselearners.tree import TreeEnsemble, descend_blocks, whole_samples
@@ -58,12 +58,10 @@ class DirectionalForest(TreeEnsemble):
                  max_features="sqrt", seed: int | None = None):
         self.set_hyperparams(locals())
 
-    def fit(self, X, y) -> "DirectionalForest":
-        A, y_idx, classes = check_fit_inputs(X, y)
+    def growth(self, A, y_idx, n_classes) -> tuple:
         keys = self.tree_keys(self.n_estimators)
-        self.directions_ = feature_directions(A, y_idx, classes.size)
-        return self.grow(A * self.directions_, y_idx, classes,
-                         *whole_samples(A.shape[0], keys.size), keys)
+        self.directions_ = feature_directions(A, y_idx, n_classes)
+        return A * self.directions_, *whole_samples(A.shape[0], keys.size), keys
 
     def predict(self, X) -> np.ndarray:
         A = self._check_predict_input(X)

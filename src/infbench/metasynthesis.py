@@ -11,6 +11,11 @@ out-of-fold clone for (fold k, base j) uses stream 1 + k*m + j, the full-data
 refit of base j uses stream 1 + cv*m + j, and the meta-estimator uses stream
 1 + cv*m + m.  Cell streams are independent, so the fit grid can run in any
 order or in parallel without changing the result.
+
+The fits run base-major: base j's cv out-of-fold clones and its refit are one
+``fit_each`` call over the training folds and then all rows, with streams
+1 + k*m + j for k = 0..cv (the refit is k = cv), so a tree base can grow them
+together.
 """
 
 from __future__ import annotations
@@ -98,40 +103,45 @@ class MetaSynthesisClassifier(Estimator):
         configured.
         """
         A, y_idx, classes = check_fit_inputs(X, y)
-        return self._oof(A, y_idx, classes, np.fromiter(y, dtype=object, count=len(y)))
+        meta, fold_of, _ = self._fit_bases(A, y_idx, classes, y, refit=False)
+        return meta, fold_of
 
-    def _oof(self, A, y_idx, classes, raw):
-        """``oof_meta_features`` on inputs ``check_fit_inputs`` has encoded;
-        ``raw`` holds the label objects the clones fit on."""
+    def _fit_bases(self, A, y_idx, classes, y, refit: bool):
+        """``oof_meta_features`` on inputs ``check_fit_inputs`` has encoded,
+        and the list of each base's full-data refit, when ``refit``, else [].
+
+        Base j fits its out-of-fold clones, fold after fold, then its refit
+        through one ``fit_each``, which may grow them together; the meta
+        blocks fill in as the clones arrive.
+        """
         base = resolve_seed(self.seed)
         fold_of = stratified_folds(y_idx, self.cv, derive_seed(base, 0))
+        rows = [np.flatnonzero(fold_of != k) for k in range(self.cv)]
+        rows += [np.arange(A.shape[0])] * refit
         m = len(self.base_estimators)
-        blocks = [None] * m
-        for k in range(self.cv):
-            test = fold_of == k
-            train = ~test
-            for j, proto in enumerate(self.base_estimators):
-                clone = proto.fresh_clone(seed=derive_seed(base, 1 + k * m + j))
-                clone.fit(A[train], raw[train])
+        blocks, refits = [], []
+        for j, proto in enumerate(self.base_estimators):
+            seeds = [derive_seed(base, 1 + k * m + j) for k in range(len(rows))]
+            block = None
+            for k, clone in enumerate(proto.fit_each(A, y, rows, seeds)):
+                if k == self.cv:
+                    refits.append(clone)
+                    continue
+                test = fold_of == k
                 out = _base_block(clone, A[test], classes, self.use_probas)
-                if blocks[j] is None:
-                    blocks[j] = np.zeros((A.shape[0], out.shape[1]))
-                blocks[j][test] = out
-        return self._meta_matrix(A, blocks), fold_of
+                if block is None:
+                    block = np.zeros((A.shape[0], out.shape[1]))
+                block[test] = out
+            blocks.append(block)
+        return self._meta_matrix(A, blocks), fold_of, refits
 
     def fit(self, X, y) -> "MetaSynthesisClassifier":
         A, y_idx, classes = check_fit_inputs(X, y)
         raw = np.fromiter(y, dtype=object, count=len(y))
-        base = resolve_seed(self.seed)
+        meta, _, self.base_models_ = self._fit_bases(A, y_idx, classes, raw, refit=True)
         m = len(self.base_estimators)
-
-        meta, _ = self._oof(A, y_idx, classes, raw)
-        self.base_models_ = []
-        for j, proto in enumerate(self.base_estimators):
-            clone = proto.fresh_clone(seed=derive_seed(base, 1 + self.cv * m + j))
-            self.base_models_.append(clone.fit(A, raw))
         self.meta_model_ = self.meta_estimator.fresh_clone(
-            seed=derive_seed(base, 1 + self.cv * m + m)
+            seed=derive_seed(resolve_seed(self.seed), 1 + self.cv * m + m)
         ).fit(meta, raw)
 
         self.meta_width_ = meta.shape[1]

@@ -1,15 +1,18 @@
 """One contract, five models: the shared estimator behavior, parametrized."""
 
 import inspect
+import json
 import re
 
 import numpy as np
 import pytest
 
 from infbench.baselearners import DecisionTree, LogisticRegression, RandomForest
+from infbench.baselearners import tree as tree_module
 from infbench.core import supports_proba
 from infbench.directional import DirectionalForest
-from infbench.errors import DegenerateTarget, DimensionMismatch, InfbenchError, NotFitted
+from infbench.errors import (DegenerateTarget, DimensionMismatch, InfbenchError, MissingClass,
+                             NotFitted)
 from infbench.metasynthesis import MetaSynthesisClassifier
 from infbench.bench import encode_table
 from infbench.serialize import (
@@ -153,6 +156,69 @@ def test_hyperparams_declared_once(proto, data):
     names = list(inspect.signature(type(est).__init__).parameters)[1:]
     stacked = ("base_estimators", "meta_estimator")
     assert list(type(est).rules) == [n for n in names if n not in stacked]
+
+
+@pytest.mark.parametrize("pairs", [None, 160, 40], ids=["one_group", "pairs_160", "pairs_40"])
+@pytest.mark.parametrize("proto", PROTOTYPES)
+def test_fit_each_is_each_fit_alone(proto, data, pairs, monkeypatch):
+    """``fit_each`` yields the models of separate fits, also when the row
+    sets grow in several groups: with ``BLOCK_PAIRS`` 160 the random forests
+    grow in three groups and the directional forests alone, with 40 the
+    decision trees in three groups.  The row sets hold unsorted rows and
+    repeated rows."""
+    X, y = data
+    y = np.asarray(y, dtype=object)
+    if pairs is not None:
+        monkeypatch.setattr(tree_module, "BLOCK_PAIRS", pairs)
+    order = np.random.default_rng(5).permutation(len(y))
+    rows = [order[:30], np.sort(order[15:]), np.arange(len(y)), np.concatenate([order, order[:9]])]
+    seeds = [11, 12, None, 14]
+    est = proto()
+    got = list(est.fit_each(X, y, rows, seeds))
+    assert len(got) == len(rows) and est.classes_ is None
+    for r, seed, fitted in zip(rows, seeds, got):
+        alone = proto().fresh_clone(seed=seed).fit(X[r], y[r])
+        assert json.dumps(estimator_state(fitted)) == json.dumps(estimator_state(alone))
+        assert fitted.predict(X).tolist() == alone.predict(X).tolist()
+        if supports_proba(alone):
+            assert fitted.predict_proba(X).tobytes() == alone.predict_proba(X).tobytes()
+
+
+@pytest.mark.parametrize("proto", PROTOTYPES)
+def test_fit_each_names_a_class_by_the_first_label_of_its_row_set(proto, data):
+    """1 and "1" are one class, named by its first label: that of the row
+    set, as a fit on the row set alone names it."""
+    X, y = data
+    y = np.array([(1, "1")[i % 2] if lab == "ant" else lab for i, lab in enumerate(y)],
+                 dtype=object)
+    ants = np.flatnonzero(y == "1")
+    rows = [np.arange(len(y)), np.concatenate([ants, np.flatnonzero(y != "1")])]
+    seeds = [1, 2]
+    for r, seed, fitted in zip(rows, seeds, proto().fit_each(X, y, rows, seeds)):
+        alone = proto().fresh_clone(seed=seed).fit(X[r], y[r])
+        assert fitted.classes_.labels == alone.classes_.labels
+        assert json.dumps(estimator_state(fitted)) == json.dumps(estimator_state(alone))
+    assert fitted.classes_.labels[0] == "1" and isinstance(fitted.classes_.labels[0], str)
+
+
+@pytest.mark.parametrize("proto", PROTOTYPES)
+def test_fit_each_refuses_a_row_set_without_a_class(proto, data):
+    X, y = data
+    one_class = np.flatnonzero(np.asarray(y) == "bee")
+    with pytest.raises(InfbenchError):
+        list(proto().fit_each(X, y, [np.arange(len(y)), one_class], [1, 2]))
+
+
+@pytest.mark.parametrize("make", [lambda: DecisionTree(seed=3),
+                                  lambda: RandomForest(n_estimators=8, seed=3),
+                                  lambda: DirectionalForest(n_estimators=8, seed=3)],
+                         ids=["decision_tree", "random_forest", "directional"])
+def test_tree_fit_each_refuses_a_row_set_short_of_one_class(make, data):
+    """A tree model's fits share y's classes, so a row set must hold them all."""
+    X, y = data
+    two_classes = np.flatnonzero(np.asarray(y) != "cat")
+    with pytest.raises(MissingClass, match="row set 1 has 2 of the 3 classes"):
+        list(make().fit_each(X, y, [np.arange(len(y)), two_classes], [1, 2]))
 
 
 TREE_SETTINGS = [("max_depth", 2.5), ("max_depth", -1), ("min_samples_leaf", 0),

@@ -5,6 +5,7 @@ import pytest
 
 from infbench import metasynthesis
 from infbench.baselearners import DecisionTree, LogisticRegression, RandomForest
+from infbench.baselearners import tree as tree_module
 from infbench.core import Estimator, check_fit_inputs, derive_seed
 from infbench.errors import InfbenchError, InsufficientClassMembers, MetaNoProba
 from infbench.metasynthesis import MetaSynthesisClassifier, stratified_folds
@@ -129,6 +130,42 @@ def test_fit_validates_its_inputs_once(monkeypatch):
     X, y = make_blobs(n_per_class=30, seed=4)
     MetaSynthesisClassifier(cv=3, seed=2).fit(X, y)
     assert calls == [60]
+
+
+def spy_grow_trees(monkeypatch) -> list:
+    """Record (trees, sample columns) of each ``grow_trees`` call."""
+    calls = []
+    grow = tree_module.grow_trees
+
+    def spy(X, y_idx, n_classes, sample, sizes, *args, **kwargs):
+        calls.append((sizes.size, sample.shape[1]))
+        return grow(X, y_idx, n_classes, sample, sizes, *args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "grow_trees", spy)
+    return calls
+
+
+def test_each_tree_base_grows_its_fits_in_one_call(blobs3, monkeypatch):
+    calls = spy_grow_trees(monkeypatch)
+    X, y = blobs3
+    bases = [LogisticRegression(max_iter=50), RandomForest(n_estimators=8), DecisionTree()]
+    MetaSynthesisClassifier(base_estimators=bases, cv=3, seed=2).fit(X, y)
+    # the 3 out-of-fold fits and the refit of each tree base, base after base
+    assert [trees for trees, _ in calls] == [4 * 8, 4]
+
+
+@pytest.mark.parametrize("pairs", [1, 100, 200])
+def test_a_grow_trees_call_holds_one_fit_or_stays_within_the_cap(blobs3, monkeypatch, pairs):
+    monkeypatch.setattr(tree_module, "BLOCK_PAIRS", pairs)
+    calls = spy_grow_trees(monkeypatch)
+    X, y = blobs3
+    forest = RandomForest(n_estimators=8)
+    MetaSynthesisClassifier(base_estimators=[forest], cv=3, seed=2).fit(X, y)
+    assert sum(trees for trees, _ in calls) == 4 * 8
+    for trees, columns in calls:
+        assert trees == 8 or columns <= 2 * pairs
+    if pairs == 200:  # some fits grow together, in more than one call
+        assert len(calls) > 1 and max(trees for trees, _ in calls) > 8
 
 
 def test_no_leakage_memorizer_all_zero():

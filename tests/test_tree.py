@@ -502,6 +502,28 @@ def test_level_order_growth_matches_the_queue_reference(case):
     assert tree.depth == depth
 
 
+@given(growth_case(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_sample_of_a_larger_matrix_grows_the_tree_of_its_rows_alone(case, data):
+    """The rows a sample draws from a larger X, taken out as their own matrix,
+    grow the same table: ``fit_each`` grows several fits on their stacked
+    matrices."""
+    X, y, C, seed, params = case
+    n = X.shape[0]
+    rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                                    .filter(any)))
+    mult = np.array(data.draw(st.lists(st.integers(1, 3), min_size=rows.size,
+                                       max_size=rows.size)), dtype=np.int32)
+    keys = splitmix64(seed, np.arange(2))
+    drawn = np.tile(np.stack([rows.astype(np.int32), mult]), 2)
+    alone = np.tile(np.stack([np.arange(rows.size, dtype=np.int32), mult]), 2)
+    sizes = np.full(2, rows.size)
+    want = tree_module.grow_trees(X[rows], y[rows], C, alone, sizes, keys, **params)
+    got = tree_module.grow_trees(X, y, C, drawn, sizes, keys, **params)
+    for name in ("feature", "threshold", "left", "counts", "roots", "depths"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 # -- the level buffers -------------------------------------------------------------
 
 @pytest.mark.parametrize("bootstrap", [True, False])

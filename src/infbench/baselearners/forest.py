@@ -6,7 +6,7 @@ import numpy as np
 
 from ..core import splitmix64
 from . import tree
-from .tree import TreeEnsemble, whole_samples
+from .tree import TreeEnsemble, stand_ins, whole_samples
 
 
 def plurality_vote(votes: np.ndarray) -> np.ndarray:
@@ -23,23 +23,26 @@ def plurality_vote(votes: np.ndarray) -> np.ndarray:
     return np.argmax(tally, axis=1)
 
 
-def bootstrap(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One bootstrap sample of n rows per tree key, as ``grow_trees`` takes
-    samples: the (2, d) int32 array of each tree's distinct rows, ascending,
-    over their multiplicities, tree after tree, and each tree's d.
+def bootstrap(keys: np.ndarray, stand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One bootstrap sample of n rows per tree key, n the size of ``stand``,
+    each row's stand-in (``tree.stand_ins``), as ``grow_trees`` takes
+    samples: the (2, d) int32 array of each tree's distinct drawn stand-ins,
+    ascending, over their multiplicities, tree after tree, and each tree's d.
 
     Draw j of the tree of key K is row ``(h >> 32) * n >> 32`` of the hash
-    ``h = derive_seed(derive_seed(K, 0), j)``, stream 0 under the key.  This
-    32-bit multiply-shift takes n < 2^32 and gives each row a probability
-    within 2^-32 of 1/n, a relative bias below n / 2^32 per draw.  The trees
-    are tallied with one offset ``bincount`` per chunk of about
-    ``BLOCK_PAIRS`` (tree, draw) pairs, or of one tree.
+    ``h = derive_seed(derive_seed(K, 0), j)``, stream 0 under the key, and
+    is tallied under that row's stand-in.  This 32-bit multiply-shift takes
+    n < 2^32 and gives each row a probability within 2^-32 of 1/n, a
+    relative bias below n / 2^32 per draw.  The trees are tallied with one
+    offset ``bincount`` per chunk of about ``BLOCK_PAIRS`` (tree, draw)
+    pairs, or of one tree.
     """
+    n = stand.size
     step = max(1, tree.BLOCK_PAIRS // n)
     tallies = []  # per chunk: tree * n + row, and multiplicity, of each drawn row
     for a in range(0, keys.size, step):
         h = splitmix64(splitmix64(keys[a:a + step], 0)[:, None], np.arange(n))
-        drawn = ((h >> np.uint64(32)) * np.uint64(n) >> np.uint64(32)).astype(np.int64)
+        drawn = stand[(h >> np.uint64(32)) * np.uint64(n) >> np.uint64(32)]
         tally = np.bincount((drawn + n * np.arange(len(h))[:, None]).ravel(), minlength=h.size)
         at = np.flatnonzero(tally)
         tallies.append(np.stack([a * n + at, tally[at]]))
@@ -66,8 +69,9 @@ class RandomForest(TreeEnsemble):
         self.set_hyperparams(locals())
 
     def growth(self, A, y_idx, n_classes) -> tuple:
-        keys, n = self.tree_keys(self.n_estimators), A.shape[0]
-        return A, *(bootstrap(keys, n) if self.bootstrap else whole_samples(n, keys.size)), keys
+        keys, stand = self.tree_keys(self.n_estimators), stand_ins(A, y_idx)
+        draw = bootstrap(keys, stand) if self.bootstrap else whole_samples(stand, keys.size)
+        return A, *draw, keys
 
     def predict_proba(self, X) -> np.ndarray:
         return self.mean_proba(self._check_predict_input(X))

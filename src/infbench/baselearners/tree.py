@@ -8,6 +8,10 @@ sorted values of a feature; ties between equally good splits go to the lowest
 feature index, then the lowest threshold.  With ``min_samples_leaf`` 1 the
 search skips the cuts inside runs of one class, which cannot win.
 
+A fit's samples draw each row as its stand-in (``stand_ins``), the first row
+equal to it in x and in y, which the search cannot tell apart from it, so a
+sample holds each distinct (x, y) row once, over its multiplicity.
+
 Trees grow breadth first, their nodes numbered in level order: all trees of a
 fit together, and those of several fits on one matrix of their stacked rows
 (``TreeEnsemble.fit_each``).  Each level takes its searched nodes' samples
@@ -183,11 +187,28 @@ def _search_nodes(X, ranks, y_idx, sample, sizes, total, feats, min_samples_leaf
             np.stack([left[b], right[b]], axis=1).reshape(-1, n_classes))
 
 
-def whole_samples(n_rows: int, n_trees: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def stand_ins(X: np.ndarray, y_idx: np.ndarray) -> np.ndarray:
+    """Each row's stand-in: the first row equal to it in X and in ``y_idx``.
+
+    Equal rows are one row to every split search, which reads a node's
+    sample multiset only, so a sample may draw each row as its stand-in.
+    Values compare as floats, as ``column_ranks`` ranks them.
+    """
+    order = np.lexsort([*X.T, y_idx])  # stable: each run of equal rows ascends
+    Xs, ys = X[order], y_idx[order]
+    new = np.ones(order.size, dtype=bool)  # the first row of each run
+    new[1:] = (Xs[1:] != Xs[:-1]).any(axis=1) | (ys[1:] != ys[:-1])
+    stand = np.empty_like(order)
+    stand[order] = order[new][np.cumsum(new) - 1]
+    return stand
+
+
+def whole_samples(stand: np.ndarray, n_trees: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """``n_trees`` samples of every row drawn once, and their sizes, as
-    ``grow_trees`` takes them."""
-    sample = np.stack([np.arange(n_rows, dtype=np.int32), np.ones(n_rows, np.int32)])
-    return np.tile(sample, n_trees), np.full(n_trees, n_rows)
+    ``grow_trees`` takes them: each distinct row of ``stand``, each row's
+    stand-in (``stand_ins``), drawn as many times as rows stand in for it."""
+    sample = np.stack(np.unique(stand, return_counts=True)).astype(np.int32)
+    return np.tile(sample, n_trees), np.full(n_trees, sample.shape[1])
 
 
 def column_ranks(X: np.ndarray) -> np.ndarray:
@@ -501,7 +522,7 @@ def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
     """One tree on every row of X: the one tree of ``grow_trees``, with the
     integer ``key`` as its key."""
     keys = None if key is None else np.array([key], dtype=np.uint64)
-    return grow_trees(X, y_idx, n_classes, *whole_samples(X.shape[0]), keys,
+    return grow_trees(X, y_idx, n_classes, *whole_samples(np.arange(X.shape[0])), keys,
                       **params).trees()[0]
 
 
@@ -656,7 +677,7 @@ class DecisionTree(TreeEnsemble):
         self.set_hyperparams(locals())
 
     def growth(self, A, y_idx, n_classes) -> tuple:
-        return A, *whole_samples(A.shape[0]), self.tree_keys(1)
+        return A, *whole_samples(stand_ins(A, y_idx)), self.tree_keys(1)
 
     def predict_proba(self, X) -> np.ndarray:
         return self.mean_proba(self._check_predict_input(X))

@@ -1,11 +1,12 @@
 """Grid evaluation and benchmark artifacts.
 
 Every (model, dataset) cell gets its own seed stream derived from the base
-seed and the two id hashes, so cells can run serially or on any number of
-worker processes and still produce identical numbers.  The machine-readable
-artifact is canonical JSON (sorted keys, repr floats) and therefore
-byte-identical across schedules; its timestamp honors SOURCE_DATE_EPOCH so a
-pinned environment reproduces the whole file exactly.
+seed and the two id hashes, and each of its folds one stream under that, so
+folds can run serially or on any number of worker processes and still
+produce identical numbers.  The machine-readable artifact is canonical JSON
+(sorted keys, repr floats) and therefore byte-identical across schedules; its
+timestamp honors SOURCE_DATE_EPOCH so a pinned environment reproduces the
+whole file exactly.
 """
 
 from __future__ import annotations
@@ -47,24 +48,20 @@ def cell_seed(base_seed: int, model_id: str, dataset_id: str) -> int:
     return derive_seed(s, stable_text_hash(dataset_id))
 
 
-def _cross_validate(prototype, data, folds: int, seed: int,
-                    model_id: str, dataset_id: str):
-    """Stratified k-fold accuracies for one cell. Returns a list of floats."""
+def _fold_accuracy(prototype, data, folds: int, seed: int, k: int,
+                   model_id: str, dataset_id: str) -> float:
+    """Accuracy on fold k of one cell's stratified k-fold split."""
     y_idx = data.classes.encode(data.y)
-    fold_of = stratified_folds(y_idx, folds, derive_seed(seed, 0))
-    accuracies = []
-    for k in range(folds):
-        test = fold_of == k
-        train = ~test
-        clone = prototype.fresh_clone(seed=derive_seed(seed, 1 + k))
-        try:
-            clone.fit(data.X[train], data.y[train])
-            pred = clone.predict(data.X[test])
-        except Exception as e:
-            raise EvaluationError(model_id, dataset_id, k, e) from e
-        hits = int((pred.astype(str) == data.y[test].astype(str)).sum())
-        accuracies.append(hits / int(test.sum()))
-    return accuracies
+    test = stratified_folds(y_idx, folds, derive_seed(seed, 0)) == k
+    train = ~test
+    clone = prototype.fresh_clone(seed=derive_seed(seed, 1 + k))
+    try:
+        clone.fit(data.X[train], data.y[train])
+        pred = clone.predict(data.X[test])
+    except Exception as e:
+        raise EvaluationError(model_id, dataset_id, k, e) from e
+    hits = int((pred.astype(str) == data.y[test].astype(str)).sum())
+    return hits / int(test.sum())
 
 
 def evaluate_model_on_dataset(prototype, data, protocol: EvalProtocol, *,
@@ -74,32 +71,33 @@ def evaluate_model_on_dataset(prototype, data, protocol: EvalProtocol, *,
     model_id = model_id if model_id is not None else prototype.kind
     dataset_id = dataset_id if dataset_id is not None else data.dataset_id
     seed = cell_seed(resolve_seed(protocol.seed), model_id, dataset_id)
-    accs = _cross_validate(prototype, data, protocol.folds, seed,
-                           model_id, dataset_id)
+    accs = [_fold_accuracy(prototype, data, protocol.folds, seed, k, model_id, dataset_id)
+            for k in range(protocol.folds)]
     return sum(accs) / len(accs)
 
 
 def _eval_cell_task(args):
-    """Worker-side cell evaluation; exceptions come back as strings.
+    """Worker-side evaluation of one fold of a cell; exceptions come back as
+    strings.
 
-    The ``ConvergenceWarning``s the cell raises come back as their messages,
+    The ``ConvergenceWarning``s the fold raises come back as their messages,
     so the parent reports them once for the grid rather than once per worker.
     """
-    model_id, prototype, dataset_id, data, folds, seed = args
+    model_id, prototype, dataset_id, data, folds, seed, k = args
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
         try:
-            accs = _cross_validate(prototype, data, folds, seed, model_id, dataset_id)
+            acc = _fold_accuracy(prototype, data, folds, seed, k, model_id, dataset_id)
             error = None
         except Exception as e:
-            accs, error = None, f"{type(e).__name__}: {e}"
+            acc, error = None, f"{type(e).__name__}: {e}"
     stopped = []
     for w in caught:
         if issubclass(w.category, ConvergenceWarning):
             stopped.append(str(w.message))
         else:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    return model_id, dataset_id, accs, error, stopped
+    return model_id, dataset_id, acc, error, stopped
 
 
 @dataclass
@@ -148,34 +146,37 @@ def run_benchmark(specs, models, protocol: EvalProtocol, workers: int = 1) -> Be
              len(models), len(specs), protocol.folds, workers)
     model_ids = list(models)
     dataset_ids = [spec.dataset_id for spec in specs]
+    # one task per fold, so that the pool balances folds rather than cells
     tasks = [
         (m, models[m][0], d, encoded[d], protocol.folds,
-         cell_seed(base_seed, m, d))
+         cell_seed(base_seed, m, d), k)
         for m in model_ids
         for d in dataset_ids
+        for k in range(protocol.folds)
     ]
 
-    outcomes = []
-    pool = nullcontext() if workers == 1 else ProcessPoolExecutor(max_workers=workers)
-    with pool:
-        # one worker evaluates the cells in this process
-        mapper = map if workers == 1 else pool.map
-        for out in mapper(_eval_cell_task, tasks):
-            outcomes.append(out)
-            log.info("evaluated %s on %s", out[0], out[1])
-
     fold_accuracies = {}
-    failures = []
+    errors = {}  # cell -> the error of its first failing fold
     stopped = {}
-    for model_id, dataset_id, accs, error, caught in outcomes:
-        if error is None:
-            fold_accuracies[(model_id, dataset_id)] = accs
-        else:
-            failures.append(
-                {"model": model_id, "dataset": dataset_id, "error": error}
-            )
-        if caught:
-            stopped[f"{model_id} on {dataset_id}"] = caught
+    pool = (nullcontext() if workers == 1
+            else ProcessPoolExecutor(max_workers=min(workers, len(tasks))))
+    with pool:
+        # one worker evaluates the folds in this process
+        mapper = map if workers == 1 else pool.map
+        for model_id, dataset_id, acc, error, caught in mapper(_eval_cell_task, tasks):
+            cell = (model_id, dataset_id)
+            accs = fold_accuracies.setdefault(cell, [])
+            accs.append(acc)
+            if error is not None:
+                errors.setdefault(cell, error)
+            if caught:
+                stopped.setdefault(f"{model_id} on {dataset_id}", []).extend(caught)
+            if len(accs) == protocol.folds:
+                log.info("evaluated %s on %s", model_id, dataset_id)
+
+    for cell in errors:
+        del fold_accuracies[cell]
+    failures = [{"model": m, "dataset": d, "error": error} for (m, d), error in errors.items()]
     if stopped:
         messages = sorted({msg for caught in stopped.values() for msg in caught})
         log.warning("%s, in %d cells: %s", "; ".join(messages), len(stopped),

@@ -20,7 +20,7 @@ import numpy as np
 from .core import finite_floats
 from .errors import MissingClass
 from .baselearners.forest import plurality_vote
-from .baselearners.tree import TreeEnsemble, descend_blocks, whole_samples
+from .baselearners.tree import TreeEnsemble, descend_blocks, stand_ins, whole_samples
 
 
 def feature_directions(X, y_idx, n_classes: int) -> np.ndarray:
@@ -61,7 +61,8 @@ class DirectionalForest(TreeEnsemble):
     def growth(self, A, y_idx, n_classes) -> tuple:
         keys = self.tree_keys(self.n_estimators)
         self.directions_ = feature_directions(A, y_idx, n_classes)
-        return A * self.directions_, *whole_samples(A.shape[0], keys.size), keys
+        X = A * self.directions_
+        return X, *whole_samples(stand_ins(X, y_idx), keys.size), keys
 
     def predict(self, X) -> np.ndarray:
         A = self._check_predict_input(X)

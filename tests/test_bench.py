@@ -29,9 +29,11 @@ from infbench.bench import (
     run_benchmark,
     write_artifacts,
 )
+from infbench.bench import evaluate
 from infbench.bench.ingest import MISSING_CATEGORY
+from infbench.bench.registry import bundled_manifest_path
 from infbench.bench.scoring import Leaderboard, LeaderboardRow, _fractional_ranks
-from infbench.core import Estimator
+from infbench.core import Estimator, derive_seed
 from infbench.errors import (
     DegenerateTarget,
     DuplicateId,
@@ -791,3 +793,91 @@ def test_artifact_bytes_reproducible(tiny_registry, tmp_path, monkeypatch):
     assert t1.read_text().endswith("\n")
     doc = json.loads(p1.read_text())
     assert doc["timestamp"] == "2023-11-14T22:13:20Z"
+
+
+class FailsOnSeeds(Estimator):
+    """Predicts its first training label; refuses to fit under a seed in ``bad``."""
+
+    kind = "fails_on_seeds"
+
+    def __init__(self, seed=None, bad=()):
+        self.seed, self.bad = seed, bad
+
+    def fresh_clone(self, seed=None):
+        return FailsOnSeeds(seed, self.bad)
+
+    def fit(self, X, y):
+        if self.seed in self.bad:
+            raise ValueError("refuses this fold")
+        self.label_ = y[0]
+        return self
+
+    def predict(self, X):
+        return np.full(len(X), self.label_, dtype=object)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_cell_names_its_first_failing_fold(tiny_registry, workers):
+    # fold k of a cell fits under derive_seed(cell seed, 1 + k): the model
+    # fails fold 2 on beta, and folds 1 and 2 on alpha
+    bad = tuple(derive_seed(cell_seed(7, "flaky", d), 1 + k)
+                for d, k in [("alpha", 2), ("alpha", 1), ("beta", 2)])
+    models = {**real_models(), "flaky": (FailsOnSeeds(bad=bad), "user")}
+    result = run_benchmark(load_registry(tiny_registry), models,
+                           EvalProtocol(folds=3, seed=7), workers=workers)
+    assert result.failures == [
+        {"model": "flaky", "dataset": d,
+         "error": f"EvaluationError: model 'flaky' on dataset '{d}', fold {k}: "
+                  "ValueError: refuses this fold"}
+        for d, k in [("alpha", 1), ("beta", 2)]
+    ]
+    assert "flaky" not in result.table.model_ids
+    assert sorted(result.table.model_ids) == ["decision_tree", "logistic_regression"]
+
+
+def test_pooled_fold_accuracies_keep_fold_order():
+    specs = [s for s in load_registry(bundled_manifest_path())
+             if s.dataset_id in ("gauss3", "colors_cat")]
+    models = {"decision_tree": (DecisionTree(), "baseline")}
+    result = run_benchmark(specs, models, EvalProtocol(folds=5, seed=3), workers=2)
+    uneven = 0
+    for spec in specs:
+        d = spec.dataset_id
+        seed = cell_seed(3, "decision_tree", d)
+        want = [evaluate._fold_accuracy(DecisionTree(), ingest_csv(spec), 5, seed, k,
+                                        "decision_tree", d) for k in range(5)]
+        assert result.fold_accuracies[("decision_tree", d)] == want
+        uneven += len(set(want)) > 1
+    assert uneven  # the folds' accuracies differ, so their order shows
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records its size and maps in
+    this process, starting no worker."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_the_pool_starts_no_more_workers_than_tasks(tiny_registry, monkeypatch):
+    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    specs = load_registry(tiny_registry)
+    models = {"decision_tree": (DecisionTree(), "baseline")}
+    protocol = EvalProtocol(folds=3, seed=7)  # 2 datasets x 3 folds: 6 tasks
+    serial = run_benchmark(specs, models, protocol)
+    for workers in (2, 6, 9):
+        pooled = run_benchmark(specs, models, protocol, workers=workers)
+        assert pooled.fold_accuracies == serial.fold_accuracies
+    assert RecordingPool.sizes == [2, 6, 6]

@@ -10,6 +10,8 @@ from infbench.baselearners import DecisionTree, RandomForest, plurality_vote
 from infbench.baselearners import tree as tree_module
 from infbench.baselearners.forest import bootstrap
 from infbench.baselearners.tree import TreeModel, grow_tree, tree_params
+from infbench.bench.ingest import ingest_csv
+from infbench.bench.registry import bundled_manifest_path, load_registry
 from infbench.core import derive_seed, splitmix64
 from infbench.directional import DirectionalForest
 from infbench.errors import DimensionMismatch, InfbenchError, NotFitted
@@ -89,7 +91,7 @@ def test_forest_bootstrap_stream_is_derived(blobs2):
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
 def test_each_bootstrap_draws_n_rows(n):
     keys = splitmix64(5, np.arange(40))
-    sample, sizes = bootstrap(keys, n)
+    sample, sizes = bootstrap(keys, np.arange(n))
     assert sample.dtype == np.int32 and sizes.sum() == sample.shape[1]
     tree = np.repeat(np.arange(keys.size), sizes)
     assert (np.bincount(tree, weights=sample[1]) == n).all()
@@ -304,3 +306,86 @@ def test_small_search_blocks_grow_the_same_trees(monkeypatch):
     assert all(n == 1 or rows <= 20 for n, rows in calls)
     assert any(n > 1 for n, rows in calls)
     assert any(n == 1 and rows > 20 for n, rows in calls)
+
+
+# -- samples over distinct (x, y) rows -------------------------------------------
+
+def colors_cat():
+    """The bundled colors_cat table, encoded: 300 rows, 27 of them distinct."""
+    [spec] = [s for s in load_registry(bundled_manifest_path()) if s.dataset_id == "colors_cat"]
+    data = ingest_csv(spec)
+    return data.X, data.y
+
+
+def repeated_rows():
+    """Blobs whose every row appears 1 to 4 times, the copies interleaved."""
+    X, y = make_blobs(n_per_class=15, centers=((0, 0), (2, 2), (0, 3)), spread=1.2, seed=4)
+    copies = np.arange(y.size) % 4 + 1
+    order = np.argsort(splitmix64(3, np.arange(copies.sum())), kind="stable")
+    return np.repeat(X, copies, axis=0)[order], np.repeat(y, copies)[order]
+
+
+def zeroed_column():
+    """Two unequal classes, and a third column whose class means both sit at
+    its global mean, so a directional forest zeroes it and rows that differ
+    only there become equal."""
+    x = np.array([0, 0, 1, 1, 2, 2, 3, 3, 5, 5, 6, 6, 4, 4], dtype=np.float64)
+    z = np.tile([0.0, 1.0], 7)
+    y = np.array(["a"] * 8 + ["b"] * 6)
+    return np.column_stack([x, x % 2, z]), y
+
+
+def per_row_table(model, X, y):
+    """``grow_trees`` on the samples of ``model``'s fit drawn row by row: the
+    documented bootstrap (``reference_bootstrap``) or every row once, with no
+    row standing in for another."""
+    y_idx, n = model.classes_.encode(y), X.shape[0]
+    keys = model.tree_keys(model.table_.roots.size)
+    if isinstance(model, DirectionalForest):
+        X = X * model.directions_
+    if isinstance(model, RandomForest) and model.bootstrap:
+        drawn = [np.unique(reference_bootstrap(int(k), n), return_counts=True) for k in keys]
+    else:
+        drawn = [(np.arange(n), np.ones(n, np.int64))] * keys.size
+    sample = np.concatenate([np.stack(d) for d in drawn], axis=1).astype(np.int32)
+    sizes = np.array([d[0].size for d in drawn])
+    return tree_module.grow_trees(X, y_idx, model.classes_.size, sample, sizes, keys,
+                                  **tree_params(model))
+
+
+@pytest.mark.parametrize("table", [colors_cat, repeated_rows, zeroed_column])
+@pytest.mark.parametrize("model", [
+    RandomForest(n_estimators=12, seed=5),
+    RandomForest(n_estimators=6, seed=6, min_samples_leaf=3, max_depth=3),
+    RandomForest(n_estimators=4, seed=7, bootstrap=False, max_features=1),
+    DirectionalForest(n_estimators=8, seed=8),
+    DirectionalForest(n_estimators=5, seed=9, min_samples_leaf=3, max_depth=2),
+    DecisionTree(seed=10),
+    DecisionTree(min_samples_leaf=3, max_depth=4),
+], ids=lambda m: m.kind)
+def test_samples_over_distinct_rows_grow_the_per_row_trees(table, model):
+    X, y = table()
+    model.fit(X, y)
+    want = per_row_table(model, X, y)
+    for name in ("feature", "threshold", "left", "counts", "roots", "depths"):
+        a, b = getattr(model.table_, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("table, n_distinct", [(colors_cat, 27), (repeated_rows, 45)])
+def test_equal_rows_share_the_first_as_their_stand_in(table, n_distinct):
+    X, y = table()
+    y_idx = np.unique(y, return_inverse=True)[1]
+    stand = tree_module.stand_ins(X, y_idx)
+    assert np.unique(stand).size == n_distinct
+    assert (stand <= np.arange(y.size)).all() and (stand[stand] == stand).all()
+    assert (X[stand] == X).all() and (y_idx[stand] == y_idx).all()
+
+
+def test_a_zeroed_direction_merges_rows_only_after_the_transform():
+    X, y = zeroed_column()
+    forest = DirectionalForest(n_estimators=3, seed=1).fit(X, y)
+    assert forest.directions_.tolist() == [1.0, -1.0, 0.0]
+    y_idx = forest.classes_.encode(y)
+    assert np.unique(tree_module.stand_ins(X, y_idx)).size == 14
+    assert np.unique(tree_module.stand_ins(X * forest.directions_, y_idx)).size == 7

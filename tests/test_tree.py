@@ -437,7 +437,7 @@ def reference_tree(X, y, C, *, key=None, max_depth=None, min_samples_split=2,
     k = tree_module.resolve_feature_count(max_features, F)
     ordinal = 0
     ranks = tree_module.column_ranks(X)
-    queue = deque([(tree_module.whole_samples(X.shape[0])[0], 0)])
+    queue = deque([(tree_module.whole_samples(np.arange(X.shape[0]))[0], 0)])
     feature, threshold, left, right, counts, depth = [], [], [], [], [], 0
     while queue:
         sample, level = queue.popleft()
@@ -532,9 +532,9 @@ def test_growth_only_reads_its_sample(blobs3, bootstrap):
     y_idx = encode_labels(y)[1]
     keys = splitmix64(9, np.arange(6))
     if bootstrap:
-        sample, sizes = forest_module.bootstrap(keys, X.shape[0])
+        sample, sizes = forest_module.bootstrap(keys, np.arange(X.shape[0]))
     else:
-        sample, sizes = tree_module.whole_samples(X.shape[0], keys.size)
+        sample, sizes = tree_module.whole_samples(np.arange(X.shape[0]), keys.size)
     before = sample.copy()
     table = tree_module.grow_trees(X, y_idx, 3, sample, sizes, keys, max_features=1)
     assert table.left.size > 3 * keys.size  # the trees split below their roots' children
@@ -559,7 +559,7 @@ def test_a_leaf_child_is_never_copied_to_the_next_level(monkeypatch):
     # and the pure rows 6-7.
     X = np.arange(8.0)[:, None]
     y = np.array([0, 0, 0, 0, 1, 0, 1, 1])
-    sample, sizes = tree_module.whole_samples(8)
+    sample, sizes = tree_module.whole_samples(np.arange(8))
     monkeypatch.setattr(TakeLog, "takes", [])
     table = tree_module.grow_trees(X, y, 2, sample.view(TakeLog), sizes, None)
     assert table.left.tolist() == [1, 1, 3, 5, 4, 5, 6]

@@ -13,10 +13,10 @@ equal to it in x and in y, which the search cannot tell apart from it, so a
 sample holds each distinct (x, y) row once, over its multiplicity.
 
 Trees grow breadth first, their nodes numbered in level order: all trees of a
-fit together, and those of several fits on one matrix of their stacked rows
-(``TreeEnsemble.fit_each``).  Each level takes its searched nodes' samples
-from the last level's buffer in one gather, and searches them in blocks,
-slices of it.
+fit together, and those of several fits with one class count on one matrix
+of their stacked rows (``TreeEnsemble.fit_each``).  Each level takes its
+searched nodes' samples from the last level's buffer in one gather, and
+searches them in blocks, slices of it.
 
 Every random draw is a counter-based hash (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011), ``derive_seed`` of integers.  Stream
@@ -34,9 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import (FLAG, SEED, ClassSet, Estimator, check_fit_inputs, finite_floats, integer,
-                    resolve_seed, splitmix64)
-from ..errors import InfbenchError, MissingClass
+from ..core import (FLAG, SEED, Estimator, check_fit_inputs, finite_floats, integer, resolve_seed,
+                    splitmix64)
+from ..errors import InfbenchError
 
 
 def resolve_feature_count(max_features, n_features: int) -> int:
@@ -372,13 +372,13 @@ class NodeTable:
         """Each tree as ``{n_classes, n_features, root}``, its nodes nested as
         ``{feature, threshold, left, right}`` at a split and ``{counts}`` at a
         leaf: the form ``from_dicts`` reads back."""
-        left = self.left.tolist()
-        nodes = zip(self.feature.tolist(), self.threshold.tolist(), left, self.counts.tolist())
-        node = [{"counts": c} if j == i else {"feature": f, "threshold": t}
-                for i, (f, t, j, c) in enumerate(nodes)]
-        for i, j in enumerate(left):
-            if j != i:
-                node[i]["left"], node[i]["right"] = node[j], node[j + 1]
+        split = self.left != np.arange(self.left.size)
+        node = np.empty(split.size, dtype=object)  # only the fields a dict keeps become lists
+        node[~split] = [{"counts": c} for c in self.counts[~split].tolist()]
+        node[split] = [{"feature": f, "threshold": t} for f, t in
+                       zip(self.feature[split].tolist(), self.threshold[split].tolist())]
+        for i, j in zip(np.flatnonzero(split).tolist(), self.left[split].tolist()):
+            node[i]["left"], node[i]["right"] = node[j], node[j + 1]
         return [{"n_classes": self.n_classes, "n_features": self.n_features, "root": node[r]}
                 for r in self.roots.tolist()]
 
@@ -519,10 +519,10 @@ def grow_trees(X: np.ndarray, y_idx: np.ndarray, n_classes: int, sample: np.ndar
 
 def grow_tree(X: np.ndarray, y_idx: np.ndarray, n_classes: int, *,
               key: int | None = None, **params) -> TreeModel:
-    """One tree on every row of X: the one tree of ``grow_trees``, with the
-    integer ``key`` as its key."""
+    """One tree on every row of X, drawn as ``DecisionTree`` draws them: the
+    one tree of ``grow_trees``, with the integer ``key`` as its key."""
     keys = None if key is None else np.array([key], dtype=np.uint64)
-    return grow_trees(X, y_idx, n_classes, *whole_samples(np.arange(X.shape[0])), keys,
+    return grow_trees(X, y_idx, n_classes, *whole_samples(stand_ins(X, y_idx)), keys,
                       **params).trees()[0]
 
 
@@ -551,43 +551,30 @@ class TreeEnsemble(Estimator):
         raise NotImplementedError
 
     def fit(self, X, y) -> "TreeEnsemble":
-        A, y_idx, classes = check_fit_inputs(X, y)
-        return next(self._grow_fits([(self, classes, A, y_idx)]))
+        return next(self._grow_fits([(self, *check_fit_inputs(X, y))]))
 
     def fit_each(self, X, y, rows, seeds):
-        """Every ``fresh_clone(seed=s).fit(X[r], y[r])`` of ``rows`` and
-        ``seeds``, yielded in order, with X and y validated and encoded once.
+        """Every ``fresh_clone(seed=s).fit(X[r], y[r])`` of ``row_sets`` and
+        ``seeds``, yielded in order, each row set prepared as ``fit`` does.
 
-        Consecutive fits grow in one ``grow_trees`` call while their samples
-        add up to at most ``2 * BLOCK_PAIRS`` columns, and a call holds at
-        least one fit.  A group's fits are yielded before any fit of the next
-        group is drawn but its first, whose sample ends the group, so one
-        group's samples and tables are alive at a time, and one more sample.
-        Raises MissingClass, while iterating, for a row set that lacks one of
-        y's classes.
+        Consecutive fits grow in one ``grow_trees`` call while they have one
+        class count and their samples add up to at most ``2 * BLOCK_PAIRS``
+        columns, and a call holds at least one fit.  A group's fits are
+        yielded before any fit of the next group is drawn but its first, whose
+        sample ends the group, so one group's samples and tables are alive at
+        a time, and one more sample.
         """
-        A, y_idx, classes = check_fit_inputs(X, y)
-        labels = np.fromiter(y, dtype=object, count=len(y))
-
-        def fits():
-            for i, (r, seed) in enumerate(zip(rows, seeds)):
-                y_r = y_idx[r]
-                present, first = np.unique(y_r, return_index=True)
-                if present.size < classes.size:
-                    raise MissingClass(f"row set {i} has {present.size} of the "
-                                       f"{classes.size} classes")
-                # the first row of each class names it, as in check_fit_inputs
-                yield self.fresh_clone(seed=seed), ClassSet(labels[r][first]), A[r], y_r
-
-        return self._grow_fits(fits())
+        return self._grow_fits((self.fresh_clone(seed=s), *check_fit_inputs(A, labels))
+                               for (A, labels), s in zip(self.row_sets(X, y, rows), seeds))
 
     def _grow_fits(self, fits):
-        """Grow each ``(estimator, classes, A, y_idx)`` of ``fits``, grouped
+        """Grow each ``(estimator, A, y_idx, classes)`` of ``fits``, grouped
         as ``fit_each`` describes, and yield the estimators, fitted."""
         group, width = [], 0
-        for est, classes, A, y_idx in fits:
+        for est, A, y_idx, classes in fits:
             X, sample, sizes, keys = est.growth(A, y_idx, classes.size)
-            if group and width + sample.shape[1] > 2 * BLOCK_PAIRS:
+            if group and (width + sample.shape[1] > 2 * BLOCK_PAIRS
+                          or classes.size != group[0][1].size):
                 yield from self._grow_group(group)
                 group, width = [], 0
             group.append((est, classes, X, y_idx, sample, sizes, keys))

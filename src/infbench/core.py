@@ -154,14 +154,19 @@ def finite_floats(values, name: str) -> np.ndarray:
     return A
 
 
+def labelled_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as a matrix and y as an object array of its label objects; raises
+    DimensionMismatch unless they have as many rows."""
+    A = as_matrix(X)
+    labels = np.fromiter(y, dtype=object, count=len(y))
+    if len(labels) != A.shape[0]:
+        raise DimensionMismatch(f"{A.shape[0]} rows but {len(labels)} labels")
+    return A, labels
+
+
 def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray, ClassSet]:
     """Validate and encode training inputs shared by every estimator's fit."""
-    A = validate_matrix(X)
-    labels = np.fromiter(y, dtype=object, count=len(y))  # the same label objects
-    if len(labels) != A.shape[0]:
-        raise DimensionMismatch(
-            f"{A.shape[0]} rows but {len(labels)} labels"
-        )
+    A, labels = labelled_rows(validate_matrix(X), y)
     classes, y_idx = encode_labels(labels)
     return A, y_idx, classes
 
@@ -227,10 +232,17 @@ class Estimator:
 
     def fit_each(self, X, y, rows, seeds):
         """Yield, in order, ``fresh_clone(seed=s).fit(X[r], y[r])`` for each
-        row index array r of ``rows`` and seed s of ``seeds``.  A model may
-        fit them together, as long as each is the model fitted alone."""
-        A, labels = as_matrix(X), np.fromiter(y, dtype=object, count=len(y))
-        return (self.fresh_clone(seed=s).fit(A[r], labels[r]) for r, s in zip(rows, seeds))
+        row set of ``row_sets`` and seed s of ``seeds``.  A model may fit them
+        together, as long as each is the model fitted alone."""
+        return (self.fresh_clone(seed=s).fit(A, labels)
+                for (A, labels), s in zip(self.row_sets(X, y, rows), seeds))
+
+    @staticmethod
+    def row_sets(X, y, rows):
+        """``(X[r], y[r])`` for each row index array r of ``rows``, lazily,
+        once X and y are found to have as many rows (``labelled_rows``)."""
+        A, labels = labelled_rows(X, y)
+        return ((A[r], labels[r]) for r in rows)
 
     def hyperparams(self) -> dict:
         """The hyperparameters of ``rules``, read back from same-named attributes."""

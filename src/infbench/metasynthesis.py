@@ -137,12 +137,11 @@ class MetaSynthesisClassifier(Estimator):
 
     def fit(self, X, y) -> "MetaSynthesisClassifier":
         A, y_idx, classes = check_fit_inputs(X, y)
-        raw = np.fromiter(y, dtype=object, count=len(y))
-        meta, _, self.base_models_ = self._fit_bases(A, y_idx, classes, raw, refit=True)
+        meta, _, self.base_models_ = self._fit_bases(A, y_idx, classes, y, refit=True)
         m = len(self.base_estimators)
         self.meta_model_ = self.meta_estimator.fresh_clone(
             seed=derive_seed(resolve_seed(self.seed), 1 + self.cv * m + m)
-        ).fit(meta, raw)
+        ).fit(meta, y)
 
         self.meta_width_ = meta.shape[1]
         self.n_features_ = A.shape[1]

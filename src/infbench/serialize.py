@@ -37,7 +37,7 @@ def estimator_from_state(d: dict):
     kind = d["kind"]
     entry = MODELS.get(kind)
     if entry is None:
-        raise IngestError(f"unknown estimator kind {kind!r} in artifact")
+        raise ValueError(f"unknown estimator kind {kind!r}")
     with _malformed(f"{kind} state"):
         return entry.factory.from_state(d["state"])
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -833,6 +834,32 @@ def test_a_failing_cell_names_its_first_failing_fold(tiny_registry, workers):
     ]
     assert "flaky" not in result.table.model_ids
     assert sorted(result.table.model_ids) == ["decision_tree", "logistic_regression"]
+
+
+class WarnsOnSeeds(FailsOnSeeds):
+    """Predicts its first training label; warns when it fits under a seed in ``bad``."""
+
+    kind = "warns_on_seeds"
+
+    def fresh_clone(self, seed=None):
+        return WarnsOnSeeds(seed, self.bad)
+
+    def fit(self, X, y):
+        if self.seed in self.bad:
+            warnings.warn("this fold warns", UserWarning)
+        self.label_ = y[0]
+        return self
+
+
+def test_a_fold_warning_that_is_not_about_convergence_is_shown_once(tiny_registry, caplog):
+    bad = (derive_seed(cell_seed(7, "warns", "alpha"), 1 + 2),)  # fold 2 on alpha
+    models = {**real_models(), "warns": (WarnsOnSeeds(bad=bad), "user")}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_benchmark(load_registry(tiny_registry), models, EvalProtocol(folds=3, seed=7))
+    assert result.ok
+    assert [str(w.message) for w in caught if w.category is UserWarning] == ["this fold warns"]
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]  # no unconverged cells
 
 
 def test_pooled_fold_accuracies_keep_fold_order():

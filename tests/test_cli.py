@@ -126,6 +126,15 @@ def test_unknown_model_selection_exits_1(registry, tmp_path):
     assert code == 1
 
 
+def test_model_selection_of_no_ids_exits_1(registry, tmp_path, capsys):
+    code = main([
+        "bench", "--registry", str(registry), "--models", " , ",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert "empty model selection" in capsys.readouterr().err
+
+
 def test_missing_registry_exits_1(tmp_path):
     code = main([
         "bench", "--registry", str(tmp_path / "ghost.json"),
@@ -219,6 +228,29 @@ def test_pooled_bench_reports_unconverged_cells_once(registry):
     assert stopped[0].startswith("WARNING infbench.bench: ")
     assert "in 2 cells: logistic_regression on alpha, logistic_regression on beta" in stopped[0]
     assert not any("warnings.warn(" in line for line in err)
+
+
+FORKSERVER_BENCH = """
+import multiprocessing, sys
+from infbench.cli import main
+multiprocessing.set_start_method("forkserver")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_forkserver_pool_writes_the_serial_results(registry, tmp_path, monkeypatch):
+    """Workers that start from a fresh interpreter, not a fork of this one,
+    write the serial run's results.json byte for byte."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = ["bench", "--registry", str(registry), "--models",
+            "decision_tree,logistic_regression", "--folds", "2", "--seed", "7"]
+    assert main([*argv, "--out", str(tmp_path / "serial")]) == 0
+    proc = run_python("-c", FORKSERVER_BENCH, *argv, "--workers", "2",
+                      "--out", str(tmp_path / "pooled"))
+    assert proc.returncode == 0, proc.stderr
+    assert "2 workers" in proc.stderr
+    serial, pooled = (tmp_path / d / "results.json" for d in ("serial", "pooled"))
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_bench_bad_workers_exits_1(registry, tmp_path):
@@ -316,10 +348,22 @@ def test_predict_rejects_future_format_version(registry, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("text", ["[]", '"x"', "3"])
-def test_predict_artifact_that_is_not_an_object_exits_1(tmp_path, capsys, text):
+UNKNOWN_ESTIMATOR = json.dumps({"format_version": 1, "kind": "model_artifact", "model_id": "m",
+                                "estimator": {"kind": "ghost", "state": {}}, "encoding": {}})
+
+
+@pytest.mark.parametrize("text, message", [
+    *[pytest.param(text, "not a model artifact", id=text) for text in ["[]", '"x"', "3"]],
+    pytest.param(None, "", id="missing-file"),
+    pytest.param("{", "not valid JSON", id="invalid-json"),
+    pytest.param('{"format_version": 1, "kind": "report"}', "not a model artifact",
+                 id="other-kind"),
+    pytest.param(UNKNOWN_ESTIMATOR, "unknown estimator kind 'ghost'", id="unknown-estimator"),
+])
+def test_predict_artifact_that_is_not_an_object_exits_1(tmp_path, capsys, text, message):
     model_path = tmp_path / "model.json"
-    model_path.write_text(text)
+    if text is not None:
+        model_path.write_text(text)
     write_csv(tmp_path / "a.csv", ["f1", "f2"], [["1", "2"]])
     capsys.readouterr()
     code = main([
@@ -329,7 +373,7 @@ def test_predict_artifact_that_is_not_an_object_exits_1(tmp_path, capsys, text):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert str(model_path) in err[0] and "not a model artifact" in err[0]
+    assert str(model_path) in err[0] and message in err[0]
 
 
 BAD_CSVS = [

@@ -11,8 +11,7 @@ from infbench.baselearners import DecisionTree, LogisticRegression, RandomForest
 from infbench.baselearners import tree as tree_module
 from infbench.core import supports_proba
 from infbench.directional import DirectionalForest
-from infbench.errors import (DegenerateTarget, DimensionMismatch, InfbenchError, MissingClass,
-                             NotFitted)
+from infbench.errors import DegenerateTarget, DimensionMismatch, InfbenchError, NotFitted
 from infbench.metasynthesis import MetaSynthesisClassifier
 from infbench.bench import encode_table
 from infbench.serialize import (
@@ -162,17 +161,21 @@ def test_hyperparams_declared_once(proto, data):
 @pytest.mark.parametrize("proto", PROTOTYPES)
 def test_fit_each_is_each_fit_alone(proto, data, pairs, monkeypatch):
     """``fit_each`` yields the models of separate fits, also when the row
-    sets grow in several groups: with ``BLOCK_PAIRS`` 160 the random forests
-    grow in three groups and the directional forests alone, with 40 the
-    decision trees in three groups.  The row sets hold unsorted rows and
-    repeated rows."""
+    sets grow in several groups.  The third row set is short of one class,
+    so the tree models grow the first two fits together, the third alone and
+    the last two together; with ``BLOCK_PAIRS`` 160 the random forests grow
+    the last two alone too and the directional forests every fit alone, with
+    40 the decision trees also grow the last two alone.  The row sets hold
+    unsorted rows and repeated rows."""
     X, y = data
     y = np.asarray(y, dtype=object)
     if pairs is not None:
         monkeypatch.setattr(tree_module, "BLOCK_PAIRS", pairs)
     order = np.random.default_rng(5).permutation(len(y))
-    rows = [order[:30], np.sort(order[15:]), np.arange(len(y)), np.concatenate([order, order[:9]])]
-    seeds = [11, 12, None, 14]
+    short = order[y[order] != "cat"]
+    rows = [order[:30], np.sort(order[15:]), short, np.arange(len(y)),
+            np.concatenate([order, order[:9]])]
+    seeds = [11, 12, 21, None, 14]
     est = proto()
     got = list(est.fit_each(X, y, rows, seeds))
     assert len(got) == len(rows) and est.classes_ is None
@@ -209,16 +212,11 @@ def test_fit_each_refuses_a_row_set_without_a_class(proto, data):
         list(proto().fit_each(X, y, [np.arange(len(y)), one_class], [1, 2]))
 
 
-@pytest.mark.parametrize("make", [lambda: DecisionTree(seed=3),
-                                  lambda: RandomForest(n_estimators=8, seed=3),
-                                  lambda: DirectionalForest(n_estimators=8, seed=3)],
-                         ids=["decision_tree", "random_forest", "directional"])
-def test_tree_fit_each_refuses_a_row_set_short_of_one_class(make, data):
-    """A tree model's fits share y's classes, so a row set must hold them all."""
+@pytest.mark.parametrize("proto", PROTOTYPES)
+def test_fit_each_refuses_unequal_x_and_y_before_any_fit(proto, data):
     X, y = data
-    two_classes = np.flatnonzero(np.asarray(y) != "cat")
-    with pytest.raises(MissingClass, match="row set 1 has 2 of the 3 classes"):
-        list(make().fit_each(X, y, [np.arange(len(y)), two_classes], [1, 2]))
+    with pytest.raises(DimensionMismatch, match=f"{len(y)} rows but {len(y) - 1} labels"):
+        proto().fit_each(X, y[:-1], [np.arange(len(y) - 1)], [1])
 
 
 TREE_SETTINGS = [("max_depth", 2.5), ("max_depth", -1), ("min_samples_leaf", 0),

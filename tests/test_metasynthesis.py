@@ -119,6 +119,11 @@ def test_stratified_folds_name_the_lowest_short_class():
     assert (err.value.class_index, err.value.count) == (1, 0)
 
 
+def test_stratified_folds_refuse_one_fold():
+    with pytest.raises(InfbenchError, match="cv must be >= 2, got 1"):
+        stratified_folds(np.array([0, 1] * 4), 1, seed=0)
+
+
 def test_fit_validates_its_inputs_once(monkeypatch):
     calls = []
 
